@@ -4,7 +4,9 @@ Every run can write its artifact plus a manifest sidecar recording the
 subcommand, the full flag set, the master seed, library versions and the
 output digests; two runs with identical manifests (wall time aside)
 produce bit-identical numeric payloads.  Exit codes: 0 success, 1 verdict
-contradicts --expect, 2 usage or specification errors.
+contradicts --expect, 2 usage or specification errors, 3 numerical
+failure (an arithmetic or evaluation error, or a NaN or infinity that
+strict JSON cannot carry).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -153,8 +156,20 @@ def _resolve_threads(args) -> int:
     return os.cpu_count() or 1
 
 
+def _require_finite(value, key: str) -> None:
+    """Raise ArithmeticError naming `key` if `value` holds a NaN or infinity."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _require_finite(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _require_finite(v, f"{key}[{i}]")
+    elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ArithmeticError(f"non-finite value {float(value)!r} for {key!r}")
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict:
@@ -172,6 +187,7 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
 
 def _emit_report(args, payload: dict) -> None:
     """Write a scalar report as JSON (default) or a one-row CSV."""
+    _require_finite(payload, "")
     if getattr(args, "format", None) == "csv":
         flat = _flatten(payload)
         keys = sorted(flat)
@@ -184,6 +200,8 @@ def _emit_report(args, payload: dict) -> None:
 
 def _emit_table(args, comment: str, header: list, rows: list) -> None:
     """Write a table as CSV (default) or a JSON row bundle."""
+    for i, row in enumerate(rows):
+        _require_finite(dict(zip(header, row)), f"rows[{i}]")
     if getattr(args, "format", None) == "json":
         payload = {"schema": SCHEMA, "comment": comment, "columns": header,
                    "rows": [list(r) for r in rows]}
@@ -257,8 +275,7 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_semistable(args) -> int:
     pair = parse_pair_spec(args.pair)
-    verdict = pairstab.semistable_probe(pair, trials=args.trials, rng_seed=args.seed,
-                                        threads=_resolve_threads(args))
+    verdict = pairstab.semistable_probe(pair, trials=args.trials, rng_seed=args.seed)
     payload = {
         "schema": SCHEMA,
         "pair": args.pair,
@@ -584,6 +601,9 @@ def main(argv=None) -> int:
         # invalid arguments surfacing from any layer are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, igusa.EvaluationError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

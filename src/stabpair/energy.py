@@ -38,6 +38,7 @@ from .polyrep import (
     GroupElement,
     OnePSG,
     SparsePolynomial,
+    _monomial_weight,
     act,
 )
 
@@ -101,13 +102,8 @@ def gaussian_inner(p: SparsePolynomial, q: SparsePolynomial) -> complex:
         other = large.get(exps)
         if other is None:
             continue
-        weight = 1
-        for row in exps:
-            for e in row:
-                if e > 1:
-                    weight *= math.factorial(e)
         a, b = (other, c) if swap else (c, other)
-        total += complex(a) * complex(b).conjugate() * weight
+        total += complex(a) * complex(b).conjugate() * _monomial_weight(exps)
     return total
 
 
@@ -203,12 +199,7 @@ def _ray_profile(p: AnyPolynomial):
     masses = []
     chars = []
     for exps, coeff in p.terms.items():
-        weight = 1.0
-        for row in exps:
-            for e in row:
-                if e > 1:
-                    weight *= math.factorial(e)
-        masses.append(2 * math.log(abs(complex(coeff))) + math.log(weight))
+        masses.append(2 * math.log(abs(complex(coeff))) + math.log(_monomial_weight(exps)))
         chars.append(tuple(sum(row[j] for row in exps) for j in range(p.shape.cols)))
     return np.array(masses), chars, 1
 

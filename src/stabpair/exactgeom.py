@@ -18,8 +18,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 LatticePoint = tuple  # tuple[Fraction, ...]; fixed length within one context
 
@@ -79,49 +79,48 @@ def _sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
 
 
-def _independent_rows(rows: list) -> list:
-    """Return a maximal linearly independent subset of `rows` (exact)."""
-    basis: list = []
-    reduced: list = []  # row-echelon shadows of the basis
-    pivots: list = []
-    for row in rows:
-        work = list(row)
-        for shadow, piv in zip(reduced, pivots):
-            if work[piv] != 0:
-                factor = work[piv] / shadow[piv]
-                work = [a - factor * b for a, b in zip(work, shadow)]
-        piv = next((j for j, a in enumerate(work) if a != 0), None)
+def _pivot(rows: list, r: int, col: int) -> None:
+    """Scale row r to a unit entry in `col` and clear `col` from every other row."""
+    lead = rows[r][col]
+    rows[r] = [a / lead for a in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+
+
+def _rref(rows: Sequence, ncols: int):
+    """Exact Gauss-Jordan elimination over the first `ncols` columns.
+
+    Returns (reduced rows, pivot columns, det).  Entries are coerced to
+    Fraction first, since int / int would silently leave the rationals.
+    `det` is the determinant when the matrix is square (zero if singular).
+    """
+    mat = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
+            det = Fraction(0)
             continue
-        basis.append(tuple(row))
-        reduced.append(work)
-        pivots.append(piv)
-    return basis
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            det = -det
+        det *= mat[r][col]
+        _pivot(mat, r, col)
+        pivots.append(col)
+    return mat, pivots, det
 
 
 def _nullspace(rows: list, dim: int) -> list:
     """Basis of {x : <row, x> = 0 for all rows} in ambient dimension `dim`."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        piv_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv_row is None:
-            continue
-        mat[r], mat[piv_row] = mat[piv_row], mat[r]
-        lead = mat[r][col]
-        mat[r] = [a / lead for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [j for j in range(dim) if j not in pivots]
+    mat, pivots, _det = _rref(rows, dim)
     basis = []
-    for j in free:
+    for j in range(dim):
+        if j in pivots:
+            continue
         vec = [Fraction(0)] * dim
         vec[j] = Fraction(1)
         for i, piv in enumerate(pivots):
@@ -130,45 +129,12 @@ def _nullspace(rows: list, dim: int) -> list:
     return basis
 
 
-def _solve(columns: list, rhs: Sequence) -> Optional[tuple]:
-    """Solve sum_j y_j * columns[j] = rhs exactly; None if inconsistent."""
-    dim = len(rhs)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [Fraction(rhs[i])] for i in range(dim)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv_row = next((i for i in range(r, dim) if aug[i][col] != 0), None)
-        if piv_row is None:
-            continue
-        aug[r], aug[piv_row] = aug[piv_row], aug[r]
-        lead = aug[r][col]
-        aug[r] = [a / lead for a in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, dim):
-        if aug[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][-1]
-    return tuple(sol)
-
-
 def _primitive(vec: Sequence) -> tuple:
     """Scale a rational vector by a positive rational to a primitive integer one."""
     fracs = [Fraction(v) for v in vec]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
+    denom = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(a // g for a in ints)
@@ -187,57 +153,44 @@ def _canonical_sign(vec: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _lp_feasible(A: list, b: list) -> bool:
-    """Exact feasibility of {x >= 0 : A x = b} over the rationals."""
+    """Exact feasibility of {x >= 0 : A x = b} over the rationals.
+
+    The tableau holds the m constraint rows (structural columns, one
+    artificial column per row, right-hand side) and, as its last row, the
+    phase-1 objective, so one pivot step updates both.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = []
+    tab = []
     for i in range(m):
-        if b[i] >= 0:
-            rows.append([Fraction(a) for a in A[i]] + [Fraction(0)] * m + [Fraction(b[i])])
-        else:
-            rows.append([-Fraction(a) for a in A[i]] + [Fraction(0)] * m + [-Fraction(b[i])])
-    for i in range(m):
-        rows[i][n + i] = Fraction(1)
+        sign = 1 if b[i] >= 0 else -1
+        row = [sign * Fraction(a) for a in A[i]] + [Fraction(0)] * m + [sign * Fraction(b[i])]
+        row[n + i] = Fraction(1)
+        tab.append(row)
+    tab.append([sum(col, Fraction(0)) for col in zip(*tab)])
     basis = list(range(n, n + m))
-    z = [Fraction(0)] * (n + m + 1)
-    for row in rows:
-        z = [a + bb for a, bb in zip(z, row)]
-    while True:
-        enter = next((j for j in range(n) if z[j] > 0), None)
-        if enter is None:
-            break
+    while (enter := next((j for j in range(n) if tab[m][j] > 0), None)) is not None:
         leave = None
         best = None
         for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:  # pragma: no cover - phase-1 objective is bounded
             raise ArithmeticError("unbounded phase-1 simplex")
-        piv = rows[leave][enter]
-        rows[leave] = [a / piv for a in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [a - f * c for a, c in zip(rows[i], rows[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [a - f * c for a, c in zip(z, rows[leave])]
+        _pivot(tab, leave, enter)
         basis[leave] = enter
-    return z[-1] == 0
+    return tab[m][-1] == 0
 
 
 def _point_in_hull(point: Sequence, points: list) -> bool:
     """Exact test for `point` in conv(points)."""
     if not points:
         return False
-    dim = len(point)
-    A = [[Fraction(p[i]) for p in points] for i in range(dim)]
-    A.append([Fraction(1)] * len(points))
-    b = [Fraction(point[i]) for i in range(dim)] + [Fraction(1)]
-    return _lp_feasible(A, b)
+    A = [[p[i] for p in points] for i in range(len(point))] + [[1] * len(points)]
+    return _lp_feasible(A, list(point) + [1])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +206,7 @@ class LatticePolytope:
     the same set.  Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("dim", "vertices", "_reduced", "_halfspaces")
+    __slots__ = ("dim", "vertices", "_halfspaces")
 
     def __init__(self, vertices: Sequence[LatticePoint], *, _known_extreme: bool = False):
         pts = [as_point(p) for p in vertices]
@@ -267,68 +220,42 @@ class LatticePolytope:
             pts = _extreme_points(pts)
         self.dim = dim
         self.vertices = tuple(pts)
-        self._reduced = None
         self._halfspaces = None
 
     # -- structure ---------------------------------------------------------
-
-    def _reduction(self):
-        """Affine-hull data: base point, independent direction basis, reduced verts."""
-        if self._reduced is None:
-            p0 = self.vertices[0]
-            diffs = [_sub(v, p0) for v in self.vertices[1:]]
-            basis = _independent_rows(diffs)
-            reduced = []
-            for v in self.vertices:
-                y = _solve(basis, _sub(v, p0)) if basis else ()
-                if y is None:  # pragma: no cover - basis spans by construction
-                    raise ArithmeticError("vertex outside its own affine hull")
-                reduced.append(tuple(y))
-            self._reduced = (p0, basis, reduced)
-        return self._reduced
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return len(self._reduction()[1])
 
     def halfspaces(self):
         """Return (equalities, inequalities) in ambient coordinates.
 
         Equalities are pairs (n, c) with <n, x> = c on the polytope and cut
         out its affine hull; inequalities are pairs (u, c) with <u, x> >= c,
-        one per facet relative to the affine hull.
+        one per facet relative to the affine hull.  Every facet of an
+        r-dimensional polytope contains r affinely independent vertices, so
+        scanning r-subsets finds each one.  A facet normal is orthogonal to
+        the equality normals, which makes it unique up to positive scale;
+        it is stored primitive.
         """
         if self._halfspaces is None:
-            p0, basis, reduced = self._reduction()
-            r = len(basis)
-            equalities = []
-            for n in _nullspace(basis, self.dim):
-                n = _canonical_sign(_primitive(n))
-                equalities.append((n, _dot(n, p0)))
-            inequalities = []
-            if r == 1:
-                coords = [y[0] for y in reduced]
-                lo, hi = min(coords), max(coords)
-                inequalities = [((Fraction(1),), lo), ((Fraction(-1),), -hi)]
-            elif r >= 2:
-                inequalities = _facets_reduced(reduced, r)
-            # Map reduced-space inequalities back to ambient coordinates via
-            # the exact left inverse of the basis matrix.
-            if inequalities and r >= 1:
-                gram = [[_dot(basis[i], basis[j]) for j in range(r)] for i in range(r)]
-                gram_inv = _invert(gram)
-                ambient_ineqs = []
-                for (u_red, c_red) in inequalities:
-                    w = [sum(gram_inv[i][j] * u_red[j] for j in range(r)) for i in range(r)]
-                    u_amb = tuple(sum(w[i] * basis[i][k] for i in range(r))
-                                  for k in range(self.dim))
-                    u_amb = _primitive(u_amb)
-                    # re-derive the offset from an incident vertex to keep the
-                    # primitive scaling consistent
-                    c_amb = min(_dot(u_amb, v) for v in self.vertices)
-                    ambient_ineqs.append((u_amb, c_amb))
-                inequalities = ambient_ineqs
-            self._halfspaces = (tuple(equalities), tuple(inequalities))
+            p0 = self.vertices[0]
+            normals = [_canonical_sign(_primitive(n)) for n in
+                       _nullspace([_sub(v, p0) for v in self.vertices[1:]], self.dim)]
+            equalities = tuple((n, _dot(n, p0)) for n in normals)
+            r = self.dim - len(normals)
+            facets = {}
+            for subset in itertools.combinations(self.vertices, r) if r else ():
+                base = subset[0]
+                null = _nullspace([_sub(v, base) for v in subset[1:]] + normals, self.dim)
+                if len(null) != 1:
+                    continue
+                u = _primitive(null[0])
+                c = _dot(u, base)
+                sides = [_dot(u, v) - c for v in self.vertices]
+                if min(sides) < 0 < max(sides):
+                    continue
+                if min(sides) < 0:
+                    u, c = tuple(-x for x in u), -c
+                facets[(u, c)] = True
+            self._halfspaces = (equalities, tuple(facets))
         return self._halfspaces
 
     # -- predicates ----------------------------------------------------------
@@ -356,23 +283,6 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)})"
 
 
-def _invert(mat: list) -> list:
-    """Exact inverse of a small nonsingular rational matrix."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [a / lead for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _extreme_points(points: list) -> list:
     """Filter a deduplicated point list down to the extreme points (exact LPs)."""
     cand = list(points)
@@ -384,39 +294,6 @@ def _extreme_points(points: list) -> list:
         else:
             i += 1
     return cand
-
-
-def _facets_reduced(verts: list, r: int) -> list:
-    """All facets of a full-dimensional polytope in reduced coordinates.
-
-    Every facet contains r affinely independent vertices, so scanning
-    r-subsets finds each one; supporting hyperplanes are kept with the
-    polytope on the >= side.
-    """
-    facets = {}
-    for subset in itertools.combinations(range(len(verts)), r):
-        base = verts[subset[0]]
-        rows = [_sub(verts[k], base) for k in subset[1:]]
-        null = _nullspace(rows, r)
-        if len(null) != 1:
-            continue
-        u = _primitive(null[0])
-        c = _dot(u, base)
-        below = above = False
-        for v in verts:
-            s = _dot(u, v) - c
-            if s > 0:
-                above = True
-            elif s < 0:
-                below = True
-            if below and above:
-                break
-        if below and above:
-            continue
-        if below:
-            u, c = tuple(-x for x in u), -c
-        facets[(u, c)] = True
-    return list(facets.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +328,7 @@ def dilate(p: LatticePolytope, k) -> LatticePolytope:
     k = Fraction(k)
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if k == 0:
-        return LatticePolytope([tuple(Fraction(0) for _ in range(p.dim))],
-                               _known_extreme=True)
+    # k = 0 collapses every vertex to the origin, which the constructor dedups
     return LatticePolytope([tuple(k * c for c in v) for v in p.vertices],
                            _known_extreme=True)
 

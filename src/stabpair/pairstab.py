@@ -15,7 +15,6 @@ so supports, hulls and separating functionals never touch floating point.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -190,7 +189,8 @@ def _acted_pair(pair: PairSpec, g: GroupElement):
     return act(g, pair.v), act(g, pair.w)
 
 
-def _probe_trial(pair: PairSpec, g: GroupElement):
+def _probe_trial(pair: PairSpec, g: GroupElement) -> Optional[OnePSG]:
+    """A functional destabilizing the pair conjugated by g, or None."""
     v_g, w_g = _acted_pair(pair, g)
     wp_v = weight_polytope(v_g)
     wp_w = weight_polytope(w_g)
@@ -199,40 +199,32 @@ def _probe_trial(pair: PairSpec, g: GroupElement):
     lam = destabilizing_functional(wp_w, wp_v)
     if lam is None:  # pragma: no cover - separation always produces a witness
         raise ArithmeticError("containment failed but no separating functional found")
-    return (g, lam)
+    return lam
 
 
-def semistable_probe(pair: PairSpec, trials: int = 20, rng_seed=0,
-                     threads: int = 1) -> StabilityVerdict:
+def semistable_probe(pair: PairSpec, trials: int = 20, rng_seed=0) -> StabilityVerdict:
     """Exact diagonal certification plus randomized conjugate-torus probing.
 
     Trial 0 is the identity (the diagonal torus itself); the remaining
     trials act by random integer unimodular matrices, so every verdict is
-    an exact polytope computation.  The first destabilizer by trial index
-    wins, independent of scheduling.  A returned witness (g, lam) satisfies
+    an exact polytope computation.  Trials run in index order and the
+    first destabilizer stops the probe; all trial seeds are spawned up
+    front, so trial i acts by the same element however many trials run.
+    A returned witness (g, lam) satisfies
     ops_weight(act(g, v), lam) < ops_weight(act(g, w), lam).
     """
     if trials < 1:
         raise ValueError("at least one trial required")
     seeds = np.random.SeedSequence(rng_seed).spawn(trials)
-    elements = [GroupElement.identity(pair.ambient)]
-    for i in range(1, trials):
-        elements.append(random_unimodular(pair.ambient, np.random.default_rng(seeds[i])))
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda g: _probe_trial(pair, g), elements))
-    else:
-        results = [_probe_trial(pair, g) for g in elements]
-
-    for idx, res in enumerate(results):
-        if res is not None:
-            g, lam = res
-            check = verify_witness(pair, g, lam)
-            if not check["valid"]:  # pragma: no cover - exact arithmetic
-                raise ArithmeticError("destabilizing witness failed re-verification")
-            return StabilityVerdict(status=DESTABILIZED, trials=idx + 1,
-                                    witness=(g, lam))
+    for idx in range(trials):
+        g = (GroupElement.identity(pair.ambient) if idx == 0 else
+             random_unimodular(pair.ambient, np.random.default_rng(seeds[idx])))
+        lam = _probe_trial(pair, g)
+        if lam is None:
+            continue
+        if not verify_witness(pair, g, lam)["valid"]:  # pragma: no cover - exact arithmetic
+            raise ArithmeticError("destabilizing witness failed re-verification")
+        return StabilityVerdict(status=DESTABILIZED, trials=idx + 1, witness=(g, lam))
     return StabilityVerdict(status=CERTIFIED, trials=trials)
 
 

@@ -29,6 +29,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .exactgeom import _rref
+
 __all__ = [
     "MatrixShape",
     "TorusCharacter",
@@ -328,10 +330,9 @@ class GroupElement:
         exact = all(_is_exact(e) for row in rows for e in row)
         object.__setattr__(self, "is_exact", exact)
         if exact:
-            det = _exact_det([[Fraction(e) for e in row] for row in rows])
+            det = _rref(rows, n)[2]
         else:
-            det = complex(np.linalg.det(
-                np.array([[complex(e) for e in row] for row in rows], dtype=complex)))
+            det = complex(np.linalg.det(self.matrix))
         if det == 0:
             raise ValueError("singular matrix is not a group element")
         object.__setattr__(self, "det", det)
@@ -372,25 +373,6 @@ class GroupElement:
                          for i in range(n))
             return GroupElement(prod)
         return GroupElement.from_matrix(self.matrix @ other.matrix)
-
-
-def _exact_det(mat: list) -> Fraction:
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                f = mat[i][col] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return det
 
 
 @dataclass
@@ -670,6 +652,16 @@ def random_unimodular(n: int, rng_seed=0, steps: int = 12, bound: int = 2) -> Gr
     return GroupElement(tuple(tuple(row) for row in mat))
 
 
+def _monomial_weight(exps) -> int:
+    """Gaussian squared norm prod alpha_ij! of the monomial with exponents alpha."""
+    weight = 1
+    for row in exps:
+        for e in row:
+            if e > 1:
+                weight *= math.factorial(e)
+    return weight
+
+
 def exact_gaussian_norm_sq(p: SparsePolynomial):
     """E|P(Z)|^2 under the standard complex Gaussian, exactly.
 
@@ -684,11 +676,7 @@ def exact_gaussian_norm_sq(p: SparsePolynomial):
     exact = p.has_exact_coefficients()
     total = Fraction(0) if exact else 0.0
     for exps, coeff in p.terms.items():
-        weight = 1
-        for row in exps:
-            for e in row:
-                if e > 1:
-                    weight *= math.factorial(e)
+        weight = _monomial_weight(exps)
         if exact:
             total += Fraction(coeff) * Fraction(coeff) * weight
         else:

@@ -233,6 +233,20 @@ def test_csv_cells_never_leak_numpy_reprs():
     assert _csv_cell(7) == "7"
 
 
+def test_overflow_in_height_exits_three(capsys):
+    # the delta-method variance overflows at this degree
+    assert run(["height", "--poly", "disc:24", "--samples", "2000", "--seed", "7"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError") and "Traceback" not in err
+
+
+def test_non_finite_payload_exits_three_and_names_key(capsys):
+    assert run(["height", "--poly", "disc:40", "--samples", "2000", "--seed", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err and "'h'" in captured.err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["zeta", "--poly", "bogus:1", "--s", "1"]) == 2
     assert run(["zeta", "--poly", "disc:1", "--s", "1"]) == 2  # family needs d >= 2

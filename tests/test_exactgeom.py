@@ -17,6 +17,7 @@ from stabpair.exactgeom import (
     polytope_to_json,
     support_min,
 )
+from stabpair.exactgeom import _point_in_hull
 
 F = Fraction
 
@@ -194,16 +195,29 @@ def test_linear_functional_validation():
 
 # -- halfspaces & serialization -------------------------------------------------
 
+def _degenerate_supports(rng):
+    """Sum-zero characters, collinear sets and planar sets in dimension 4."""
+    for _ in range(8):
+        heads = [rng.integers(-3, 4, size=3) for _ in range(int(rng.integers(1, 8)))]
+        yield [tuple(int(x) for x in h) + (-int(sum(h)),) for h in heads]
+        base, step = rng.integers(-3, 4, size=3), rng.integers(-2, 3, size=3)
+        yield [tuple(int(x) for x in base + t * step) for t in rng.integers(-3, 4, size=5)]
+        base, d1, d2 = (rng.integers(-2, 3, size=4) for _ in range(3))
+        yield [tuple(int(x) for x in base + a * d1 + b * d2)
+               for a, b in rng.integers(-2, 3, size=(7, 2))]
+
+
 def test_halfspaces_describe_same_set():
     rng = np.random.default_rng(23)
-    for _ in range(25):
-        dim = int(rng.integers(1, 5))
-        pts = random_points(rng, dim, int(rng.integers(1, 9)))
+    supports = [random_points(rng, int(dim), int(rng.integers(1, 9)))
+                for dim in rng.integers(1, 5, size=25)]
+    for pts in supports + list(_degenerate_supports(rng)):
         hull = convex_hull(pts)
-        probes = random_points(rng, dim, 12, lo=-5, hi=5)
+        dim = len(pts[0])
+        probes = random_points(rng, dim, 12, lo=-5, hi=5) + [hull.vertices[0]]
         for probe in probes:
             by_halfspace = hull.contains_point(probe)
-            by_lp = contains(hull, convex_hull([probe]))
+            by_lp = _point_in_hull(probe, list(hull.vertices))
             assert by_halfspace == by_lp
 
 

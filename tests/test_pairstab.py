@@ -264,11 +264,23 @@ def test_probe_witness_reverifies_on_destabilized_random_pairs():
     assert found > 0  # random pairs destabilize often
 
 
-def test_probe_threaded_matches_serial():
-    pair = PairSpec.of(disc2(), FormalPower(disc2(), 2))
-    a = semistable_probe(pair, trials=12, rng_seed=9, threads=1)
-    b = semistable_probe(pair, trials=12, rng_seed=9, threads=4)
-    assert a.status == b.status and a.trials == b.trials
+def test_probe_stops_at_first_destabilizer(monkeypatch):
+    import stabpair.pairstab as pairstab
+
+    calls = []
+    real_trial = pairstab._probe_trial
+
+    def counting_trial(pair, g):
+        calls.append(g)
+        return real_trial(pair, g)
+
+    monkeypatch.setattr(pairstab, "_probe_trial", counting_trial)
+    # N(w) is a single point, so the diagonal torus already destabilizes
+    pair = PairSpec.of(disc2(), monomial(MatrixShape(1, 3), ((1, 1, 0),)))
+    assert not semistable_diagonal(pair)
+    verdict = semistable_probe(pair, trials=12, rng_seed=9)
+    assert verdict.destabilized and verdict.trials == 1
+    assert len(calls) == 1
 
 
 # -- module degree ------------------------------------------------------------------

@@ -155,6 +155,10 @@ def test_act_exactness_with_unimodular_element():
     q = act(g, disc2())
     assert q.has_exact_coefficients()
     assert g.det == 1
+    swap = GroupElement(((0, 1), (1, 0)))
+    assert swap.is_exact and swap.det == -1 and isinstance(swap.det, Fraction)
+    with pytest.raises(ValueError):
+        GroupElement(((1, 2), (2, 4)))
 
 
 # -- evaluation -------------------------------------------------------------------
