@@ -347,8 +347,7 @@ def _cmd_energy_scan(args) -> int:
     for ray_idx in range(args.rays):
         lam = energy._random_sum_zero(rng, pair.ambient)
         ts = np.logspace(-0.25, -args.decades, args.points)
-        nus = energy.nu_along_ray(pair, lam, ts)
-        js = energy.j_along_ray(pair.v, lam, ts, degree=pair.degree_v)
+        nus, js = energy._pair_along_ray(pair, lam, ts)
         label = " ".join(str(e) for e in lam.exponents)
         for t, nu, j in zip(ts, nus, js):
             rows.append((ray_idx, label, float(t), float(nu), float(j)))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import igusa
 from .pairstab import PairSpec, module_degree
@@ -38,12 +37,13 @@ from .polyrep import (
     GroupElement,
     OnePSG,
     SparsePolynomial,
+    TorusCharacter,
+    _column_degrees,
     _monomial_weight,
     act,
 )
 
 __all__ = [
-    "NormedVector",
     "EnergyReport",
     "PropernessEstimate",
     "OrbitDistanceEstimate",
@@ -107,23 +107,9 @@ def gaussian_inner(p: SparsePolynomial, q: SparsePolynomial) -> complex:
     return total
 
 
-@dataclass
-class NormedVector:
-    """A polynomial together with its cached Gaussian log-norm."""
-
-    underlying: AnyPolynomial
-    norm_kind: str = "gaussian-l2"
-    log_norm_sq: Optional[float] = None
-
-    def __post_init__(self):
-        if self.norm_kind != "gaussian-l2":
-            raise ValueError("only the Gaussian L2 norm is implemented")
-        if self.log_norm_sq is None:
-            self.log_norm_sq = log_gaussian_norm_sq(self.underlying)
-
-
 # ---------------------------------------------------------------------------
-# energies at a group element
+# energies: the (w log-ratio, v log-ratio, trace term) triple, at a group
+# element or along a diagonal ray, and nu and J formed from it
 # ---------------------------------------------------------------------------
 
 def _log_norm_ratio(p: AnyPolynomial, sigma: GroupElement,
@@ -134,6 +120,69 @@ def _log_norm_ratio(p: AnyPolynomial, sigma: GroupElement,
     acted = act(sigma, p)
     return (log_gaussian_norm_sq(acted, samples=samples, seed=seed)
             - log_gaussian_norm_sq(p, samples=samples, seed=seed))
+
+
+def _logsumexp(arr: np.ndarray) -> float:
+    m = float(np.max(arr))
+    return m + math.log(float(np.sum(np.exp(arr - m))))
+
+
+def _ray_log_norm_ratio(p: AnyPolynomial, lam: OnePSG, log_ts: list) -> np.ndarray:
+    """log(||lam(t).P||^2/||P||^2) at each log|t| in log_ts, by logsumexp over
+    the terms (overflow-free); linear through formal powers."""
+    if isinstance(p, FormalPower):
+        return p.exponent * _ray_log_norm_ratio(p.base, lam, log_ts)
+    if not isinstance(p, SparsePolynomial):
+        raise ValueError("ray profiles need sparse polynomials (or powers of them)")
+    masses = np.array([2 * math.log(abs(complex(c))) + math.log(_monomial_weight(exps))
+                       for exps, c in p.terms.items()])
+    pairings = np.array([TorusCharacter(_column_degrees(exps)).pair(lam)
+                         for exps in p.terms], dtype=float)
+    base = _logsumexp(masses)
+    return np.array([_logsumexp(masses + 2.0 * pairings * lt) - base for lt in log_ts])
+
+
+def _components(sigma: GroupElement, v: AnyPolynomial, w: Optional[AnyPolynomial] = None,
+                ambient: Optional[int] = None, samples: int = 200_000, seed=0) -> tuple:
+    """(w log-ratio, v log-ratio, trace term) at sigma, the trace term being
+    log(Trace(sigma sigma*)/ambient).  A part whose input (w or ambient) is
+    None is left out as None."""
+    w_ratio = None if w is None else _log_norm_ratio(w, sigma, samples, seed)
+    trace_term = None
+    if ambient is not None:
+        m = sigma.matrix
+        trace_term = math.log(float(np.real(np.trace(m @ m.conj().T))) / ambient)
+    return w_ratio, _log_norm_ratio(v, sigma, samples, seed), trace_term
+
+
+def _ray_components(lam: OnePSG, ts: Sequence[float], v: AnyPolynomial,
+                    w: Optional[AnyPolynomial] = None,
+                    ambient: Optional[int] = None) -> tuple:
+    """The same triple as arrays over |t| in ts along lam(t), in log space
+    (the trace is summed exactly), with the same None convention."""
+    log_ts = [math.log(abs(t)) for t in ts]
+    w_ratio = None if w is None else _ray_log_norm_ratio(w, lam, log_ts)
+    trace_term = None
+    if ambient is not None:
+        trace_term = np.array([_logsumexp(np.array([2.0 * e * lt for e in lam.exponents]))
+                               - math.log(ambient) for lt in log_ts])
+    return w_ratio, _ray_log_norm_ratio(v, lam, log_ts), trace_term
+
+
+def _energies(components: tuple, degree: Optional[int] = None) -> tuple:
+    """(nu, J) from the triple: nu = w-ratio - v-ratio, J = deg * trace - v-ratio.
+
+    Either is None when the part it needs was left out."""
+    w_ratio, v_ratio, trace_term = components
+    nu = None if w_ratio is None else w_ratio - v_ratio
+    j = None if trace_term is None else degree * trace_term - v_ratio
+    return nu, j
+
+
+def _as_element(sigma) -> GroupElement:
+    if isinstance(sigma, GroupElement):
+        return sigma
+    return GroupElement.from_matrix(np.asarray(sigma))
 
 
 @dataclass
@@ -147,89 +196,33 @@ class EnergyReport:
 def nu_pair(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
             samples: int = 200_000, seed=0) -> float:
     """nu(sigma) for the pair; exact for sparse data, sampled for black boxes."""
-    if not isinstance(sigma, GroupElement):
-        sigma = GroupElement.from_matrix(np.asarray(sigma))
-    w_ratio = _log_norm_ratio(pair.w, sigma, samples, seed)
-    v_ratio = _log_norm_ratio(pair.v, sigma, samples, seed)
-    return w_ratio - v_ratio
+    parts = _components(_as_element(sigma), pair.v, pair.w, samples=samples, seed=seed)
+    return _energies(parts)[0]
 
 
-def j_aubin(v: Union[AnyPolynomial, NormedVector],
-            sigma: Union[GroupElement, np.ndarray],
+def j_aubin(v: AnyPolynomial, sigma: Union[GroupElement, np.ndarray],
             degree: Optional[int] = None, ambient: Optional[int] = None,
             samples: int = 200_000, seed=0) -> float:
     """J_v(sigma) = deg log(Trace(sigma sigma*)/(N+1)) - log ||sigma.v||^2/||v||^2."""
-    if isinstance(v, NormedVector):
-        v = v.underlying
-    if not isinstance(sigma, GroupElement):
-        sigma = GroupElement.from_matrix(np.asarray(sigma))
     if degree is None:
         degree = module_degree(v)
     if ambient is None:
         ambient = v.shape.cols
-    m = sigma.matrix
-    trace_term = math.log(float(np.real(np.trace(m @ m.conj().T))) / ambient)
-    return degree * trace_term - _log_norm_ratio(v, sigma, samples, seed)
+    parts = _components(_as_element(sigma), v, ambient=ambient, samples=samples, seed=seed)
+    return _energies(parts, degree)[1]
 
 
 def energy_report(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
                   samples: int = 200_000, seed=0) -> EnergyReport:
-    if not isinstance(sigma, GroupElement):
-        sigma = GroupElement.from_matrix(np.asarray(sigma))
-    w_ratio = _log_norm_ratio(pair.w, sigma, samples, seed)
-    v_ratio = _log_norm_ratio(pair.v, sigma, samples, seed)
-    m = sigma.matrix
-    trace_term = math.log(float(np.real(np.trace(m @ m.conj().T))) / pair.ambient)
-    return EnergyReport(sigma=sigma, nu=w_ratio - v_ratio,
-                        j=pair.degree_v * trace_term - v_ratio,
-                        components=(w_ratio, v_ratio, trace_term))
-
-
-# ---------------------------------------------------------------------------
-# behavior along one-parameter rays (log-space, overflow-free)
-# ---------------------------------------------------------------------------
-
-def _ray_profile(p: AnyPolynomial):
-    """(log term masses, character pairings) for the diagonal-ray log-norm."""
-    if isinstance(p, FormalPower):
-        masses, chars = _ray_profile(p.base)
-        return masses, chars, p.exponent
-    if not isinstance(p, SparsePolynomial):
-        raise ValueError("ray profiles need sparse polynomials (or powers of them)")
-    masses = []
-    chars = []
-    for exps, coeff in p.terms.items():
-        masses.append(2 * math.log(abs(complex(coeff))) + math.log(_monomial_weight(exps)))
-        chars.append(tuple(sum(row[j] for row in exps) for j in range(p.shape.cols)))
-    return np.array(masses), chars, 1
-
-
-def _log_norm_ratio_ray(profile, lam: OnePSG, log_t: float) -> float:
-    """log(||lam(t).P||^2/||P||^2) at log|t| = log_t via logsumexp."""
-    masses, chars, exponent = profile
-    pairings = np.array([sum(a * l for a, l in zip(c, lam.exponents)) for c in chars],
-                        dtype=float)
-    shifted = masses + 2.0 * pairings * log_t
-    base = masses
-    ratio = _logsumexp(shifted) - _logsumexp(base)
-    return exponent * ratio
-
-
-def _logsumexp(arr: np.ndarray) -> float:
-    m = float(np.max(arr))
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    sigma = _as_element(sigma)
+    parts = _components(sigma, pair.v, pair.w, pair.ambient, samples, seed)
+    nu, j = _energies(parts, pair.degree_v)
+    return EnergyReport(sigma=sigma, nu=nu, j=j, components=parts)
 
 
 def nu_along_ray(pair: PairSpec, lam: OnePSG, ts: Sequence[float]) -> np.ndarray:
     """nu(lam(t)) for each |t|, computed stably in log space."""
-    prof_v = _ray_profile(pair.v)
-    prof_w = _ray_profile(pair.w)
-    out = []
-    for t in ts:
-        lt = math.log(abs(t))
-        out.append(_log_norm_ratio_ray(prof_w, lam, lt)
-                   - _log_norm_ratio_ray(prof_v, lam, lt))
-    return np.array(out)
+    return _energies(_ray_components(lam, ts, pair.v, pair.w))[0]
 
 
 def j_along_ray(v: AnyPolynomial, lam: OnePSG, ts: Sequence[float],
@@ -237,15 +230,12 @@ def j_along_ray(v: AnyPolynomial, lam: OnePSG, ts: Sequence[float],
     """J_v(lam(t)) for each |t| (trace term summed exactly in log space)."""
     if degree is None:
         degree = module_degree(v)
-    prof = _ray_profile(v)
-    ambient = len(lam.exponents)
-    out = []
-    for t in ts:
-        lt = math.log(abs(t))
-        trace_log = _logsumexp(np.array([2.0 * e * lt for e in lam.exponents]))
-        out.append(degree * (trace_log - math.log(ambient))
-                   - _log_norm_ratio_ray(prof, lam, lt))
-    return np.array(out)
+    return _energies(_ray_components(lam, ts, v, ambient=len(lam.exponents)), degree)[1]
+
+
+def _pair_along_ray(pair: PairSpec, lam: OnePSG, ts: Sequence[float]) -> tuple:
+    """(nu, J) arrays along lam(t), sharing one ray profile of v."""
+    return _energies(_ray_components(lam, ts, pair.v, pair.w, pair.ambient), pair.degree_v)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +286,11 @@ def properness_probe(pair: PairSpec, epsilon: float, b: float,
             q = np.linalg.qr(g)[0]
             sigma_mat = q @ lam.matrix(t) @ q.conj().T
             sigma = GroupElement.from_matrix(sigma_mat)
-            nu = nu_pair(pair, sigma)
-            j = j_aubin(pair.v, sigma, degree=pair.degree_v, ambient=n)
+            nu, j = _energies(_components(sigma, pair.v, pair.w, n), pair.degree_v)
         else:
             t = 10.0 ** rng.uniform(-decades, -0.3)
             sigma = GroupElement.from_matrix(lam.matrix(t))
-            nu = float(nu_along_ray(pair, lam, [t])[0])
-            j = float(j_along_ray(pair.v, lam, [t], degree=pair.degree_v)[0])
+            nu, j = (float(x[0]) for x in _pair_along_ray(pair, lam, [t]))
         count += 1
         margin = nu - epsilon * j - b
         min_margin = min(min_margin, margin)
@@ -317,6 +305,14 @@ def properness_probe(pair: PairSpec, epsilon: float, b: float,
 # ---------------------------------------------------------------------------
 # optimization over the group: nu infimum and orbit distance
 # ---------------------------------------------------------------------------
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use so that commands which
+    never optimize do not pay for loading scipy.optimize."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
 
 def _sl2_upper(params) -> np.ndarray:
     """diag(e^r, e^-r) . [[1, x+iy], [0, 1]]: every nu value on SL(2) is

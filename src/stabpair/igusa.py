@@ -72,6 +72,10 @@ EULER_GAMMA = 0.5772156649015329
 
 CONVENTIONS = ("standard", "paper")
 
+# samples per Monte Carlo shard; each shard has its own spawned seed, so this
+# size fixes the seeded sample streams and every seeded result
+SHARD_SIZE = 1 << 16
+
 
 class EvaluationError(RuntimeError):
     """Non-finite polynomial value met during Monte Carlo sampling."""
@@ -139,75 +143,62 @@ def _merge(a: _ShardStats, b: _ShardStats, top_k: int) -> _ShardStats:
     return out
 
 
-def _shard_stats(p, shard_size: int, seed_seq, s: float, need_log: bool,
-                 top_k: int, shard_index: int, batch: int) -> _ShardStats:
+def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
+                 top_k: int, shard_index: int) -> _ShardStats:
+    """Moments of one shard of `count` samples, drawn in a single batch."""
     rng = np.random.default_rng(seed_seq)
-    stats = _ShardStats()
-    remaining = shard_size
-    offset = 0
-    while remaining > 0:
-        count = min(batch, remaining)
-        draws = gaussian_batch(p.shape, count, rng)
-        vals = p.evaluate_batch(draws)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise EvaluationError(
-                f"non-finite value at shard {shard_index}, sample {offset + bad}")
-        sq = np.abs(vals) ** 2
-        if need_log:
-            # a value of exactly zero has probability zero; resample those
-            # rows so the log stays finite, and record how many were redrawn
-            for _ in range(100):
-                zero = np.flatnonzero(sq == 0.0)
-                if zero.size == 0:
-                    break
-                stats.resampled += int(zero.size)
-                redraw = gaussian_batch(p.shape, int(zero.size), rng)
-                vals_new = p.evaluate_batch(redraw)
-                if not np.all(np.isfinite(vals_new)):
-                    raise EvaluationError(
-                        f"non-finite value during resampling in shard {shard_index}")
-                sq[zero] = np.abs(vals_new) ** 2
-            else:
+    vals = p.evaluate_batch(gaussian_batch(p.shape, count, rng))
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise EvaluationError(f"non-finite value at shard {shard_index}, sample {bad}")
+    sq = np.abs(vals) ** 2
+    resampled = 0
+    if need_log:
+        # a value of exactly zero has probability zero; resample those
+        # rows so the log stays finite, and record how many were redrawn
+        for _ in range(100):
+            zero = np.flatnonzero(sq == 0.0)
+            if zero.size == 0:
+                break
+            resampled += int(zero.size)
+            vals_new = p.evaluate_batch(gaussian_batch(p.shape, int(zero.size), rng))
+            if not np.all(np.isfinite(vals_new)):
                 raise EvaluationError(
-                    f"persistent zero values in shard {shard_index}; "
-                    "polynomial may vanish on a positive-measure set")
-        x = sq if s == 1.0 else sq ** s
-        y = np.log(sq) if need_log else np.zeros(0)
+                    f"non-finite value during resampling in shard {shard_index}")
+            sq[zero] = np.abs(vals_new) ** 2
+        else:
+            raise EvaluationError(
+                f"persistent zero values in shard {shard_index}; "
+                "polynomial may vanish on a positive-measure set")
+    x = sq if s == 1.0 else sq ** s
+    y = np.log(sq) if need_log else np.zeros(0)
+    k = min(top_k, count)
+    return _ShardStats(
+        n=count,
+        mean_x=float(x.mean()),
+        mean_y=float(y.mean()) if need_log else 0.0,
+        m2x=float(((x - x.mean()) ** 2).sum()),
+        m2y=float(((y - y.mean()) ** 2).sum()) if need_log else 0.0,
+        cxy=float(((x - x.mean()) * (y - y.mean())).sum()) if need_log else 0.0,
+        top=np.partition(x, count - k)[-k:] if k else np.empty(0),
+        resampled=resampled,
+    )
 
-        batch_stats = _ShardStats(
-            n=count,
-            mean_x=float(x.mean()),
-            mean_y=float(y.mean()) if need_log else 0.0,
-            m2x=float(((x - x.mean()) ** 2).sum()),
-            m2y=float(((y - y.mean()) ** 2).sum()) if need_log else 0.0,
-            cxy=float(((x - x.mean()) * (y - y.mean())).sum()) if need_log else 0.0,
-        )
-        k = min(top_k, count)
-        batch_stats.top = np.partition(x, count - k)[-k:] if k else np.empty(0)
-        stats = _merge(stats, batch_stats, top_k)
-        remaining -= count
-        offset += count
-    return stats
 
-
-def _run_mc(p, s: float, need_log: bool, samples: int, seed, threads: int,
-            batch: int) -> _ShardStats:
+def _run_mc(p, s: float, need_log: bool, samples: int, seed,
+            threads: int) -> _ShardStats:
     if samples < 2:
         raise ValueError("at least two samples required")
     top_k = max(1, samples // 1000)
-    shard_size = min(batch, samples)
-    sizes = []
-    left = samples
-    while left > 0:
-        sizes.append(min(shard_size, left))
-        left -= shard_size
+    sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
+    if samples % SHARD_SIZE:
+        sizes.append(samples % SHARD_SIZE)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     seqs = seq.spawn(len(sizes))
 
     def run(i):
-        return _shard_stats(p, sizes[i], seqs[i], s, need_log, top_k, i, batch)
+        return _shard_stats(p, sizes[i], seqs[i], s, need_log, top_k, i)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -258,8 +249,8 @@ class HeightReport:
     resampled: int = 0
 
 
-def mc_moment(p, s: float, samples: int = 10**6, seed=0, threads: int = 1,
-              batch: int = 1 << 16) -> MomentEstimate:
+def mc_moment(p, s: float, samples: int = 10**6, seed=0,
+              threads: int = 1) -> MomentEstimate:
     """Sample mean and standard error of |P(Z)|^(2s) under the Gaussian.
 
     s = 0 short-circuits to exactly 1 without sampling.  Heavy-tailed
@@ -270,7 +261,7 @@ def mc_moment(p, s: float, samples: int = 10**6, seed=0, threads: int = 1,
         raise ValueError("s must be >= 0 (no analytic continuation here)")
     if s == 0:
         return MomentEstimate(mean=1.0, stderr=0.0, s=0.0, samples=0, seed=seed)
-    stats = _run_mc(p, float(s), False, samples, seed, threads, batch)
+    stats = _run_mc(p, float(s), False, samples, seed, threads)
     var = stats.m2x / (stats.n - 1)
     stderr = math.sqrt(var / stats.n)
     total_mass = stats.mean_x * stats.n
@@ -291,6 +282,18 @@ def _dims(p) -> tuple:
     return d, D
 
 
+def _log_gamma_norm(D: int, ds) -> float:
+    """log Gamma(D) / Gamma(D + d s), the normalization of Z(P; s)."""
+    return float(log_gamma(D) - log_gamma(D + ds))
+
+
+def _sampled_zprime0(stats: _ShardStats, d: int, D: int) -> tuple:
+    """Z'(P;0) = E[log|P(Z)|^2] - d psi(D) from the sampled log-moments,
+    with the standard error of the sampled term."""
+    value = stats.mean_y - d * float(digamma(D))
+    return value, math.sqrt(stats.m2y / (stats.n - 1) / stats.n)
+
+
 def zeta(p, s: float, samples: int = 10**6, seed=0, threads: int = 1) -> ZetaEstimate:
     """Gamma-normalized Gaussian moment Z(P;s) with propagated standard error."""
     d, D = _dims(p)
@@ -298,7 +301,7 @@ def zeta(p, s: float, samples: int = 10**6, seed=0, threads: int = 1) -> ZetaEst
         return ZetaEstimate(s=0.0, value=1.0, log_value=0.0, stderr=0.0,
                             samples=0, seed=seed)
     moment = mc_moment(p, s, samples=samples, seed=seed, threads=threads)
-    factor = math.exp(log_gamma(D) - log_gamma(D + d * s))
+    factor = math.exp(_log_gamma_norm(D, d * s))
     value = factor * moment.mean
     return ZetaEstimate(s=float(s), value=value, log_value=math.log(value),
                         stderr=factor * moment.stderr, samples=samples, seed=seed)
@@ -307,10 +310,7 @@ def zeta(p, s: float, samples: int = 10**6, seed=0, threads: int = 1) -> ZetaEst
 def zeta_prime_zero(p, samples: int = 10**6, seed=0, threads: int = 1):
     """Z'(P;0) = E[log|P(Z)|^2] - d psi(D); (value, stderr of the sampled term)."""
     d, D = _dims(p)
-    stats = _run_mc(p, 1.0, True, samples, seed, threads, 1 << 16)
-    value = stats.mean_y - d * float(digamma(D))
-    stderr = math.sqrt(stats.m2y / (stats.n - 1) / stats.n)
-    return value, stderr
+    return _sampled_zprime0(_run_mc(p, 1.0, True, samples, seed, threads), d, D)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def height_monomial_closed(p: SparsePolynomial, seed=0) -> HeightReport:
     d, D = _dims(p)
     coeff = next(iter(p.terms.values()))
     log_norm = float(sum(log_gamma(e + 1) for e in flat)) + 2 * math.log(abs(complex(coeff)))
-    log_z1 = float(log_gamma(D) - log_gamma(D + d)) + log_norm
+    log_z1 = _log_gamma_norm(D, d) + log_norm
     zp0 = -EULER_GAMMA * d - d * float(digamma(D)) + 2 * math.log(abs(complex(coeff)))
     return HeightReport(h=-log_z1 + zp0, log_Z1=log_z1, Zprime0=zp0,
                         stderr=0.0, ci_halfwidth=0.0, method="closed-form",
@@ -375,8 +375,7 @@ def log_zeta_det(n: int, s: float, cols: Optional[int] = None,
     """
     if D is None:
         D = n * (cols if cols is not None else n)
-    return float(log_gamma(D) - log_gamma(D + n * s)) \
-        + log_zeta_det_closed(n, s, convention)
+    return _log_gamma_norm(D, n * s) + log_zeta_det_closed(n, s, convention)
 
 
 def zeta_det(n: int, s: float, cols: Optional[int] = None,
@@ -421,35 +420,32 @@ def height(p, samples: int = 10**6, seed=0, threads: int = 1,
     """
     if method not in ("auto", "monte-carlo"):
         raise ValueError(f"unknown height method {method!r}")
+    if method == "auto" and _monomial_exponents(p) is not None:
+        return height_monomial_closed(p, seed=seed)
+    mixed = method == "auto" and isinstance(p, SparsePolynomial)
     d, D = _dims(p)
-    if method == "auto":
-        if _monomial_exponents(p) is not None:
-            return height_monomial_closed(p, seed=seed)
-        if isinstance(p, SparsePolynomial):
-            norm = exact_gaussian_norm_sq(p)
-            log_z1 = float(log_gamma(D) - log_gamma(D + d)) + math.log(float(norm))
-            stats = _run_mc(p, 1.0, True, samples, seed, threads, 1 << 16)
-            zp0 = stats.mean_y - d * float(digamma(D))
-            stderr = math.sqrt(stats.m2y / (stats.n - 1) / stats.n)
-            return HeightReport(h=-log_z1 + zp0, log_Z1=log_z1, Zprime0=zp0,
-                                stderr=stderr, ci_halfwidth=3 * stderr,
-                                method="mixed", samples=samples, seed=seed,
-                                resampled=stats.resampled)
-    # full Monte Carlo: joint sampling of |P|^2 and log|P|^2 with covariance
-    stats = _run_mc(p, 1.0, True, samples, seed, threads, 1 << 16)
-    n = stats.n
-    var_x = stats.m2x / (n - 1)
-    var_y = stats.m2y / (n - 1)
-    cov = stats.cxy / (n - 1)
-    log_z1 = float(log_gamma(D) - log_gamma(D + d)) + math.log(stats.mean_x)
-    zp0 = stats.mean_y - d * float(digamma(D))
-    # h = mean_y - log(mean_x) + constants: delta method with covariance
-    var_h = (var_y + var_x / stats.mean_x**2 - 2 * cov / stats.mean_x) / n
-    stderr = math.sqrt(max(var_h, 0.0))
-    return HeightReport(h=-log_z1 + zp0, log_Z1=log_z1, Zprime0=zp0,
-                        stderr=stderr, ci_halfwidth=3 * stderr,
-                        method="monte-carlo", samples=samples, seed=seed,
-                        resampled=stats.resampled)
+    stats = _run_mc(p, 1.0, True, samples, seed, threads)
+    zp0, stderr = _sampled_zprime0(stats, d, D)
+    if mixed:
+        log_norm = math.log(float(exact_gaussian_norm_sq(p)))
+    else:
+        # log Z(1) is sampled jointly with Z'(0): h = mean_y - log(mean_x) +
+        # constants, so the variance is the delta method with covariance
+        n = stats.n
+        var_x = stats.m2x / (n - 1)
+        var_y = stats.m2y / (n - 1)
+        cov = stats.cxy / (n - 1)
+        log_norm = math.log(stats.mean_x)
+        var_h = (var_y + var_x / stats.mean_x**2 - 2 * cov / stats.mean_x) / n
+        stderr = math.sqrt(max(var_h, 0.0))
+    log_z1 = _log_gamma_norm(D, d) + log_norm
+    values = {"h": -log_z1 + zp0, "log_Z1": log_z1, "Zprime0": zp0,
+              "stderr": stderr, "ci_halfwidth": 3 * stderr}
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"non-finite value {value!r} for {key!r}")
+    return HeightReport(**values, method="mixed" if mixed else "monte-carlo",
+                        samples=samples, seed=seed, resampled=stats.resampled)
 
 
 def height_formal_power(fp, samples: int = 10**6, seed=0, threads: int = 1,

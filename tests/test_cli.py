@@ -119,6 +119,19 @@ def test_energy_scan_csv(tmp_path):
     assert len(lines) == 2 + 2 * 5
 
 
+def test_energy_scan_formal_powers_scale_linearly(capsys):
+    def rows(pair):
+        assert run(["energy-scan", "--pair", pair, "--rays", "1", "--points", "2",
+                    "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[2:]
+        return [[float(x) for x in line.split(",")[3:]] for line in lines]
+
+    squared = rows("v=res:2^2,w=disc:2^2")
+    plain = rows("v=res:2,w=disc:2")
+    assert len(squared) == 2
+    assert squared == [[2 * nu, 2 * j] for nu, j in plain]
+
+
 def test_zeta_command_det_closed_forms(tmp_path):
     # det:1 lives on the 1x1 space: D = 1, so Z(det_1; 1) = Gamma(1)/Gamma(2) = 1
     out = tmp_path / "zeta.json"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stabpair.energy import (
-    NormedVector,
     energy_report,
     gaussian_inner,
     gaussian_norm_sq,
@@ -30,6 +29,7 @@ from stabpair.polyrep import (
     determinant_poly,
     monomial,
 )
+from stabpair.varieties import rnc_hyperdiscriminant, rnc_resultant
 
 S12 = MatrixShape(1, 2)
 S13 = MatrixShape(1, 3)
@@ -75,13 +75,6 @@ def test_gaussian_inner_orthogonality_and_weights():
     assert gaussian_inner(a, a) == 2.0  # 2! * 0!
     mixed = binary([1, 1, 0])
     assert gaussian_inner(mixed, a) == 2.0
-
-
-def test_normed_vector_caches():
-    nv = NormedVector(disc2())
-    assert nv.log_norm_sq == pytest.approx(math.log(18.0))
-    with pytest.raises(ValueError):
-        NormedVector(disc2(), norm_kind="operator")
 
 
 # -- nu ---------------------------------------------------------------------------
@@ -214,12 +207,14 @@ def test_energy_report_assembles_components():
 # -- rays ---------------------------------------------------------------------------
 
 def test_nu_along_ray_matches_direct_action():
-    pair = PairSpec.of(disc2(), disc2() * 3)
     lam = OnePSG((1, 0, -1))
-    for t in (0.5, 0.1):
-        direct = nu_pair(pair, GroupElement.from_matrix(lam.matrix(t)))
-        stable = float(nu_along_ray(pair, lam, [t])[0])
-        assert direct == pytest.approx(stable, abs=1e-9)
+    for pair in (PairSpec.of(disc2(), disc2() * 3),
+                 PairSpec.of(FormalPower(rnc_resultant(2), 2),
+                             FormalPower(rnc_hyperdiscriminant(2), 2))):
+        for t in (0.5, 0.1):
+            direct = nu_pair(pair, GroupElement.from_matrix(lam.matrix(t)))
+            stable = float(nu_along_ray(pair, lam, [t])[0])
+            assert direct == pytest.approx(stable, abs=1e-9)
 
 
 def test_nu_ray_slope_equals_weight_difference():
@@ -256,12 +251,12 @@ def test_nu_ray_slope_equals_weight_difference():
 
 
 def test_j_along_ray_matches_direct():
-    v = disc2()
     lam = OnePSG((2, -1, -1))
     t = 0.2
-    direct = j_aubin(v, GroupElement.from_matrix(lam.matrix(t)))
-    stable = float(j_along_ray(v, lam, [t])[0])
-    assert direct == pytest.approx(stable, abs=1e-9)
+    for v in (disc2(), FormalPower(rnc_resultant(2), 2)):
+        direct = j_aubin(v, GroupElement.from_matrix(lam.matrix(t)))
+        stable = float(j_along_ray(v, lam, [t])[0])
+        assert direct == pytest.approx(stable, abs=1e-9)
 
 
 # -- properness -------------------------------------------------------------------

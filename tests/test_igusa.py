@@ -34,6 +34,7 @@ from stabpair.polyrep import (
     determinant_poly,
     monomial,
 )
+from stabpair.varieties import rnc_hyperdiscriminant
 
 # high-precision reference values (40-digit evaluation, rounded to double)
 LOG_GAMMA_FIXTURE = [
@@ -269,6 +270,12 @@ def test_height_det_closed_matches_mc():
     want = height_det_closed(2, cols=2, convention="standard")
     got = height(determinant_poly(2), samples=300_000, seed=9, method="monte-carlo")
     assert abs(want - got.h) < 3.5 * got.stderr
+
+
+def test_height_raises_on_non_finite_report():
+    # at d = 23 the variance of |P|^2 overflows while h itself stays finite
+    with pytest.raises(OverflowError, match="non-finite value inf for 'stderr'"):
+        height(rnc_hyperdiscriminant(23), samples=4096, seed=0)
 
 
 def test_height_resampling_counter():

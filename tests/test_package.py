@@ -1,0 +1,32 @@
+"""Package surface: exported names and import cost."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stabpair
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(stabpair.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(f"stabpair.{name}")
+    for export in getattr(module, "__all__", ()):
+        assert hasattr(module, export), f"stabpair.{name}.__all__ names missing {export!r}"
+
+
+def test_cli_import_leaves_out_the_optimizer():
+    # scipy.optimize is imported by the optimizers on first use, not at start-up
+    env = dict(os.environ)
+    src = str(Path(stabpair.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, stabpair.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
