@@ -431,9 +431,7 @@ def _parse_range(text: str) -> list:
 
 
 def _cmd_degeneration(args) -> int:
-    if args.n != 1:
-        raise CLIUsageError("closed-form degeneration table is built in for curves "
-                            "(n=1) only; call the library for other dimensions")
+    # the table is built in for curves (n = 1); the library takes any n
     rows = []
     for d in _parse_range(args.d_range):
         lim = igusa.degeneration_limit_heights(
@@ -506,12 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="semistability of pairs, energies, zeta functions and heights")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, samples_default=10**6):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=samples_default)
+    def common(p, reads=(), samples_default=10**6):
+        # --out and --format, plus those of --seed, --samples, --threads it reads
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--threads", type=int, default=None)
+        defaults = {"seed": 0, "samples": samples_default, "threads": None}
+        for flag in reads:
+            p.add_argument(f"--{flag}", type=int, default=defaults[flag])
+
+    monte_carlo = ("seed", "samples", "threads")
 
     p = sub.add_parser("polytope", help="weight polytope of a polynomial")
     p.add_argument("--poly", required=True)
@@ -522,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--expect", choices=["semistable", "destabilized"], default=None)
-    common(p)
+    common(p, ("seed",))
     p.set_defaults(func=_cmd_semistable)
 
     p = sub.add_parser("stable-search", help="twist exponent search")
@@ -531,13 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=50)
     p.add_argument("--scheme", choices=["m:m+1", "m-1:m"], default="m:m+1")
     p.add_argument("--probe-trials", type=int, default=0)
-    common(p)
+    common(p, ("seed",))
     p.set_defaults(func=_cmd_stable_search)
 
     p = sub.add_parser("energy", help="nu and J at one group element")
     p.add_argument("--pair", required=True)
     p.add_argument("--sigma", required=True)
-    common(p, samples_default=200_000)
+    common(p, ("seed", "samples"), samples_default=200_000)
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("energy-scan", help="nu and J along sampled diagonal rays")
@@ -545,23 +546,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rays", type=int, default=8)
     p.add_argument("--decades", type=int, default=6)
     p.add_argument("--points", type=int, default=13)
-    common(p)
+    common(p, ("seed",))
     p.set_defaults(func=_cmd_energy_scan)
 
     p = sub.add_parser("zeta", help="Gaussian local zeta value")
     p.add_argument("--poly", required=True)
     p.add_argument("--s", type=float, required=True)
-    common(p)
+    common(p, monte_carlo)
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("height", help="height of a polynomial")
     p.add_argument("--poly", required=True)
     p.add_argument("--audit-bounds", action="store_true")
-    common(p)
+    common(p, monte_carlo)
     p.set_defaults(func=_cmd_height)
 
-    p = sub.add_parser("degeneration", help="closed-form limit heights table")
-    p.add_argument("--n", type=int, default=1)
+    p = sub.add_parser("degeneration", help="closed-form limit heights table (curves)")
     p.add_argument("--d-range", required=True)
     p.add_argument("--convention", choices=list(igusa.CONVENTIONS),
                    default="standard")
@@ -571,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrepancy", help="Monte Carlo height-discrepancy table")
     p.add_argument("--family", default="rnc")
     p.add_argument("--d", required=True)
-    common(p, samples_default=200_000)
+    common(p, monte_carlo, samples_default=200_000)
     p.set_defaults(func=_cmd_discrepancy)
 
     p = sub.add_parser("variety", help="emit a built-in variety's forms")

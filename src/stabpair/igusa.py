@@ -30,8 +30,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma as _scipy_digamma
-from scipy.special import gammaln as _scipy_gammaln
 
 from .polyrep import (
     BlackBoxPolynomial,
@@ -82,13 +80,18 @@ class EvaluationError(RuntimeError):
 
 
 def log_gamma(x):
-    """log Gamma, accurate to full double precision (vectorized)."""
-    return _scipy_gammaln(x)
+    """log Gamma, accurate to full double precision (vectorized).  scipy.special
+    is imported on first use, so commands that never need it skip loading it."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def digamma(x):
     """Gamma'(x)/Gamma(x), accurate to full double precision (vectorized)."""
-    return _scipy_digamma(x)
+    from scipy.special import digamma as scipy_digamma
+
+    return scipy_digamma(x)
 
 
 def harmonic(k: int) -> Fraction:

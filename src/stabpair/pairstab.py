@@ -246,14 +246,10 @@ def module_degree(p: AnyPolynomial, generic: bool = False) -> int:
     attains the bound.  With generic=True the value is recomputed from the
     full module polytope by exact containment sweep and must agree.
     """
-    if isinstance(p, FormalPower):
-        total = p.degree
-        cols = p.shape.cols
-    else:
-        if p.is_zero:
-            raise ValueError("zero polynomial spans no module")
-        total = p.degree
-        cols = p.shape.cols
+    if p.is_zero:
+        raise ValueError("zero polynomial spans no module")
+    total = p.degree
+    cols = p.shape.cols
     closed = max(total, 1)
     if generic:
         qn = simplex_qn(cols)

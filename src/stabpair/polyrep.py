@@ -14,9 +14,11 @@ one-sided convention yields the same orbit norms for the unitarily
 invariant norms used downstream.
 
 Large resultants and hyperdiscriminants are never expanded; they enter as
-black-box polynomials (evaluation only, with a declared degree that is
-spot-checked for homogeneity), and formal tensor powers defer to linearity
-rules for weights, polytopes and log-norms.
+black-box polynomials (one evaluator mapping a (count, rows, cols) stack to
+count values, with a declared degree that is spot-checked for homogeneity),
+and formal tensor powers defer to linearity rules for weights, polytopes
+and log-norms.  Sparse polynomials evaluate through one term loop; for both
+kinds a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -250,40 +252,35 @@ class SparsePolynomial:
 
     # -- evaluation --------------------------------------------------------------
 
+    def _term_sum(self, x, total, cast):
+        """total + sum of cast(coeff) * prod x[i][j] ** e over the terms, where
+        x[i][j] is a strided sample column (batch) or a Fraction (exact)."""
+        for exps, coeff in self.terms.items():
+            term = cast(coeff)
+            for i, row in enumerate(exps):
+                for j, e in enumerate(row):
+                    if e:
+                        term = term * (x[i][j] if e == 1 else x[i][j] ** e)
+            total += term
+        return total
+
     def evaluate(self, a) -> complex:
-        """Value at a single matrix, with compensated real/imag accumulation."""
+        """Value at a single matrix: a batch of one."""
         a = np.asarray(a, dtype=complex)
         if a.shape != tuple(self.shape):
             raise ValueError("argument shape mismatch")
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite entries in argument")
-        res_re, res_im = [], []
-        for exps, coeff in self.terms.items():
-            val = complex(coeff)
-            for i, row in enumerate(exps):
-                for j, e in enumerate(row):
-                    if e:
-                        val *= complex(a[i, j]) ** e
-            res_re.append(val.real)
-            res_im.append(val.imag)
-        return complex(math.fsum(res_re), math.fsum(res_im))
+        return complex(self.evaluate_batch(a[None])[0])
 
     def evaluate_batch(self, batch: np.ndarray) -> np.ndarray:
         """Vectorized values on a (count, rows, cols) stack of matrices."""
         batch = np.asarray(batch, dtype=complex)
         if batch.ndim != 3 or batch.shape[1:] != tuple(self.shape):
             raise ValueError("batch shape mismatch")
-        out = np.zeros(batch.shape[0], dtype=complex)
-        for exps, coeff in self.terms.items():
-            term = np.full(batch.shape[0], complex(coeff), dtype=complex)
-            for i, row in enumerate(exps):
-                for j, e in enumerate(row):
-                    if e == 1:
-                        term = term * batch[:, i, j]
-                    elif e > 1:
-                        term = term * batch[:, i, j] ** e
-            out += term
-        return out
+        count = batch.shape[0]
+        return self._term_sum(np.moveaxis(batch, 0, -1), np.zeros(count, dtype=complex),
+                              lambda c: np.full(count, complex(c), dtype=complex))
 
     __call__ = evaluate
 
@@ -299,15 +296,7 @@ class SparsePolynomial:
         if len(rows) != self.shape.rows or any(len(r) != self.shape.cols
                                                for r in rows):
             raise ValueError("argument shape mismatch")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            val = Fraction(coeff)
-            for i, row in enumerate(exps):
-                for j, e in enumerate(row):
-                    if e:
-                        val *= rows[i][j] ** e
-            total += val
-        return total
+        return self._term_sum(rows, Fraction(0), Fraction)
 
 
 @dataclass(frozen=True)
@@ -379,15 +368,15 @@ class GroupElement:
 class BlackBoxPolynomial:
     """Evaluation-only polynomial with a declared degree.
 
-    The declared homogeneity degree is spot-checked on random samples at
-    construction; weights and heights only ever evaluate these, they are
-    never expanded.
+    `evaluator` maps a (count, rows, cols) stack of matrices to its count
+    values; `evaluate` is a batch of one.  The declared homogeneity degree
+    is spot-checked on random samples at construction, in one batched call;
+    weights and heights only ever evaluate these, they are never expanded.
     """
 
     shape: MatrixShape
     degree: int
-    evaluator: Callable[[np.ndarray], complex]
-    batch_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = "blackbox"
     check_samples: int = 20
 
@@ -395,16 +384,16 @@ class BlackBoxPolynomial:
         self.shape = MatrixShape(*self.shape)
         if self.check_samples:
             rng = np.random.default_rng(20151216)
-            for _ in range(self.check_samples):
-                a = gaussian_sample(self.shape, rng)
-                t = complex(rng.standard_normal() + 1j * rng.standard_normal())
-                lhs = self.evaluator(t * a)
-                rhs = (t ** self.degree) * self.evaluator(a)
-                scale = max(abs(lhs), abs(rhs), 1e-300)
-                if abs(lhs - rhs) / scale > 1e-8:
-                    raise ValueError(
-                        f"{self.name}: declared degree {self.degree} fails "
-                        f"homogeneity spot-check")
+            draws = [(gaussian_sample(self.shape, rng),
+                      rng.standard_normal() + 1j * rng.standard_normal())
+                     for _ in range(self.check_samples)]
+            a, t = (np.array(x) for x in zip(*draws))
+            vals = self.evaluate_batch(np.concatenate([t[:, None, None] * a, a]))
+            lhs, rhs = vals[:len(t)], t ** self.degree * vals[len(t):]
+            scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
+            if np.any(abs(lhs - rhs) / scale > 1e-8):
+                raise ValueError(f"{self.name}: declared degree {self.degree} fails "
+                                 "homogeneity spot-check")
 
     @property
     def is_zero(self) -> bool:
@@ -414,15 +403,16 @@ class BlackBoxPolynomial:
         a = np.asarray(a, dtype=complex)
         if a.shape != tuple(self.shape):
             raise ValueError("argument shape mismatch")
-        return complex(self.evaluator(a))
+        return complex(self.evaluate_batch(a[None])[0])
 
     def evaluate_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=complex)
         if batch.ndim != 3 or batch.shape[1:] != tuple(self.shape):
             raise ValueError("batch shape mismatch")
-        if self.batch_evaluator is not None:
-            return np.asarray(self.batch_evaluator(batch), dtype=complex)
-        return np.array([self.evaluator(a) for a in batch], dtype=complex)
+        vals = np.asarray(self.evaluator(batch), dtype=complex)
+        if vals.shape != batch.shape[:1]:
+            raise ValueError(f"{self.name}: evaluator shape {vals.shape} != {batch.shape[:1]}")
+        return vals
 
     __call__ = evaluate
 
@@ -539,18 +529,10 @@ def act(sigma: Union[GroupElement, np.ndarray, Sequence], p: AnyPolynomial):
     if sigma.size != p.shape.cols:
         raise ValueError("group element size must match the column count")
     if isinstance(p, BlackBoxPolynomial):
-        mat = sigma.matrix
-        base_eval = p.evaluator
-        base_batch = p.batch_evaluator
-        return BlackBoxPolynomial(
-            shape=p.shape,
-            degree=p.degree,
-            evaluator=lambda a, _m=mat, _f=base_eval: _f(np.asarray(a) @ _m),
-            batch_evaluator=(None if base_batch is None
-                             else lambda b, _m=mat, _f=base_batch: _f(np.asarray(b) @ _m)),
-            name=f"{p.name}.acted",
-            check_samples=0,
-        )
+        mat, base = sigma.matrix, p.evaluator
+        return BlackBoxPolynomial(shape=p.shape, degree=p.degree,
+                                  evaluator=lambda b: base(b @ mat),
+                                  name=f"{p.name}.acted", check_samples=0)
     exact = sigma.is_exact and p.has_exact_coefficients()
     entries = (sigma.entries if exact
                else tuple(tuple(complex(e) for e in row) for row in sigma.entries))
@@ -696,15 +678,15 @@ def measured_degree(p: Union[SparsePolynomial, BlackBoxPolynomial], rng_seed=3) 
             raise ValueError("zero polynomial has no degree")
         return p.degree
     rng = _as_rng(rng_seed)
+    a = np.array([gaussian_sample(p.shape, rng) for _ in range(5)])
+    vals = p.evaluate_batch(np.concatenate([a, 2.0 * a]))
     measured = set()
-    for _ in range(5):
-        a = gaussian_sample(p.shape, rng)
-        base = p.evaluate(a)
+    for base, scaled in zip(vals[:5], vals[5:]):
         if abs(base) < 1e-12:
             continue
-        ratio = abs(p.evaluate(2.0 * a)) / abs(base)
-        deg = round(math.log2(ratio))
-        if abs(math.log2(ratio) - deg) > 1e-6:
+        log_ratio = math.log2(abs(scaled) / abs(base))
+        deg = round(log_ratio)
+        if abs(log_ratio - deg) > 1e-6:
             raise ValueError("scaling ratio is not an integer power of 2")
         measured.add(int(deg))
     if len(measured) != 1:

@@ -64,6 +64,7 @@ def test_polytope_command(tmp_path, capsys):
         [["-2/3", "4/3", "-2/3"], ["1/3", "-2/3", "1/3"]])
     manifest = json.loads((tmp_path / "wp.json.manifest.json").read_text())
     assert manifest["subcommand"] == "polytope"
+    assert manifest["flags"] == {"out": str(out), "poly": "disc:2"}
     assert "wp.json" in manifest["outputs"]
 
 

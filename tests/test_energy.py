@@ -63,8 +63,7 @@ def test_gaussian_norm_blackbox_matches_exact():
     from stabpair.polyrep import BlackBoxPolynomial
 
     bb = BlackBoxPolynomial(MatrixShape(2, 2), 2,
-                            evaluator=lambda a: complex(np.linalg.det(a)),
-                            batch_evaluator=lambda b: np.linalg.det(b))
+                            evaluator=np.linalg.det)
     assert gaussian_norm_sq(bb, samples=200_000, seed=3) == pytest.approx(2.0, rel=0.02)
 
 
@@ -132,8 +131,7 @@ def test_nu_blackbox_pair_matches_sparse():
 
     det2 = determinant_poly(2)
     bb = BlackBoxPolynomial(MatrixShape(2, 2), 2,
-                            evaluator=lambda a: complex(np.linalg.det(a)),
-                            batch_evaluator=lambda b: np.linalg.det(b))
+                            evaluator=np.linalg.det)
     sigma = GroupElement.diagonal((2.0, 0.5))
     exact_pair = PairSpec.of(constant(MatrixShape(2, 2), 1), det2)
     bb_pair = PairSpec.of(constant(MatrixShape(2, 2), 1), bb)

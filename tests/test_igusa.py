@@ -136,8 +136,7 @@ def test_moment_rejects_negative_s_and_nonfinite():
     with pytest.raises(ValueError):
         mc_moment(disc2(), -1.0, samples=100)
     bad = BlackBoxPolynomial(MatrixShape(1, 2), 1,
-                             evaluator=lambda a: complex(np.nan),
-                             batch_evaluator=lambda b: np.full(b.shape[0], np.nan),
+                             evaluator=lambda b: np.full(b.shape[0], np.nan),
                              check_samples=0)
     with pytest.raises(EvaluationError):
         mc_moment(bad, 1.0, samples=100, seed=0)
@@ -280,17 +279,12 @@ def test_height_raises_on_non_finite_report():
 
 def test_height_resampling_counter():
     # a black box that is exactly zero on a thin slab: resampling finishes
-    def ev(a):
-        v = complex(a[0, 0])
-        return v if abs(v.real) > 1e-3 else 0.0
-
-    def bev(b):
+    def ev(b):
         v = b[:, 0, 0].copy()
         v[np.abs(v.real) <= 1e-3] = 0.0
         return v
 
-    p = BlackBoxPolynomial(MatrixShape(1, 2), 1, evaluator=ev,
-                           batch_evaluator=bev, check_samples=0)
+    p = BlackBoxPolynomial(MatrixShape(1, 2), 1, evaluator=ev, check_samples=0)
     rep = height(p, samples=50_000, seed=11)
     assert rep.resampled > 0
     assert np.isfinite(rep.h)

@@ -22,11 +22,13 @@ def test_every_export_resolves(name):
 
 
 def test_cli_import_leaves_out_the_optimizer():
-    # scipy.optimize is imported by the optimizers on first use, not at start-up
+    # scipy.optimize (the optimizers) and scipy.special (the gamma functions)
+    # are imported on first use, not at start-up
     env = dict(os.environ)
     src = str(Path(stabpair.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, stabpair.cli; print('scipy.optimize' in sys.modules)"
+    lazy = ("scipy.optimize", "scipy.special")
+    code = f"import sys, stabpair.cli; print([m in sys.modules for m in {lazy!r}])"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"

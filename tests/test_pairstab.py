@@ -290,6 +290,10 @@ def test_module_degree_examples():
     assert module_degree(disc2()) == 2
     assert module_degree(disc2(), generic=True) == 2
     assert module_degree(constant(MatrixShape(1, 3), 5)) == 1
+    zero = SparsePolynomial(MatrixShape(1, 3), {}, 2)
+    for p in (zero, FormalPower(zero, 3)):
+        with pytest.raises(ValueError, match="zero polynomial spans no module"):
+            module_degree(p)
 
 
 def test_module_degree_bound_attained():

@@ -179,7 +179,7 @@ def test_evaluate_batch_matches_pointwise():
     batch = gaussian_batch(p.shape, 32, rng)
     vals = evaluate_batch(p, batch)
     for i in range(0, 32, 7):
-        assert vals[i] == pytest.approx(evaluate(p, batch[i]), rel=1e-12)
+        assert vals[i] == evaluate(p, batch[i])
 
 
 def test_homogeneity_numeric():
@@ -231,16 +231,23 @@ def test_tensor_support_is_pairwise_sums():
 
 def test_blackbox_homogeneity_check_rejects_wrong_degree():
     good = BlackBoxPolynomial(MatrixShape(2, 2), 2,
-                              evaluator=lambda a: complex(np.linalg.det(a)))
+                              evaluator=np.linalg.det)
     assert good.degree == 2
     with pytest.raises(ValueError):
         BlackBoxPolynomial(MatrixShape(2, 2), 3,
-                           evaluator=lambda a: complex(np.linalg.det(a)))
+                           evaluator=np.linalg.det)
+
+
+def test_blackbox_evaluator_must_return_one_value_per_matrix():
+    p = BlackBoxPolynomial(MatrixShape(2, 2), 2,
+                           evaluator=lambda b: np.linalg.det(b)[:, None], check_samples=0)
+    with pytest.raises(ValueError):
+        p.evaluate_batch(np.eye(2, dtype=complex)[None].repeat(3, axis=0))
 
 
 def test_blackbox_measured_degree():
     p = BlackBoxPolynomial(MatrixShape(2, 2), 2,
-                           evaluator=lambda a: complex(np.linalg.det(a)))
+                           evaluator=np.linalg.det)
     assert measured_degree(p) == 2
 
 

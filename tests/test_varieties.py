@@ -153,6 +153,33 @@ def test_symbolic_and_blackbox_agree_at_random_points():
         assert np.max(np.abs(sym_vals - det_vals) / scale) < 1e-9
 
 
+def test_sylvester_stack_is_built_in_slices(monkeypatch):
+    # one 65,536-sample shard of disc:12 never factors more than the byte
+    # budget at once, and slicing changes no determinant by a single bit
+    from stabpair.varieties import SYLVESTER_STACK_BYTES
+
+    det = np.linalg.det
+    calls = []
+
+    def recording_det(m):
+        calls.append(m.shape[0])
+        assert m.nbytes <= SYLVESTER_STACK_BYTES
+        return det(m)
+
+    disc = rnc_hyperdiscriminant(12)
+    batch = gaussian_batch(disc.shape, 1 << 16, np.random.default_rng(4))
+    monkeypatch.setattr(np.linalg, "det", recording_det)
+    vals = disc.evaluate_batch(batch)
+    assert len(calls) > 1 and sum(calls) == len(batch)
+    # a window across the first slice boundary, factored in one unsliced call
+    half = calls[0] // 2
+    window = slice(calls[0] - half, calls[0] + half)
+    calls.clear()
+    unsliced = disc.evaluate_batch(batch[window])
+    assert calls == [2 * half]
+    assert vals[window].tobytes() == unsliced.tobytes()
+
+
 # -- planted-root vanishing -----------------------------------------------------------
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
