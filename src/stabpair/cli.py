@@ -4,8 +4,9 @@ Every run can write its artifact plus a manifest sidecar recording the
 subcommand, the full flag set, the master seed, library versions and the
 output digests; two runs with identical manifests (wall time aside)
 produce bit-identical numeric payloads.  Exit codes: 0 success, 1 verdict
-contradicts --expect, 2 usage or specification errors, 3 numerical
-failure (an arithmetic or evaluation error, or a NaN or infinity that
+contradicts --expect, 2 usage or specification errors (CLIUsageError, or
+a flag argparse rejects), 3 internal or numerical failure (any other
+ValueError, an arithmetic or evaluation error, or a NaN or infinity that
 strict JSON cannot carry).
 """
 
@@ -63,10 +64,12 @@ def parse_poly_spec(spec: str):
             return FormalPower(parse_poly_spec(base_spec), exponent)
     if ":" in spec:
         head, _, rest = spec.partition(":")
-        if head == "disc":
-            return varieties.rnc_hyperdiscriminant(_int_arg(rest, spec))
-        if head == "res":
-            return varieties.rnc_resultant(_int_arg(rest, spec))
+        if head in ("disc", "res"):
+            d = _int_arg(rest, spec)
+            if d < 2:
+                raise CLIUsageError(f"the curve family needs degree >= 2 in {spec!r}")
+            build = varieties.rnc_hyperdiscriminant if head == "disc" else varieties.rnc_resultant
+            return build(d)
         if head == "det":
             n = _int_arg(rest, spec)
             if not 1 <= n <= 6:
@@ -79,6 +82,8 @@ def parse_poly_spec(spec: str):
                     rows.append(tuple(int(x) for x in row.split(",")))
                 except ValueError as exc:
                     raise CLIUsageError(f"bad monomial exponents in {spec!r}") from exc
+                if any(x < 0 for x in rows[-1]):
+                    raise CLIUsageError(f"negative monomial exponent in {spec!r}")
             if len({len(r) for r in rows}) != 1:
                 raise CLIUsageError(f"ragged monomial exponent rows in {spec!r}")
             return polyrep.monomial(MatrixShape(len(rows), len(rows[0])), tuple(rows))
@@ -90,6 +95,14 @@ def parse_poly_spec(spec: str):
         return polyrep.poly_from_json(path.read_text(encoding="utf-8"))
     except (ValueError, KeyError) as exc:
         raise CLIUsageError(f"malformed polynomial JSON in {spec!r}: {exc}") from exc
+
+
+def _evaluable_poly(spec: str):
+    """A polynomial spec for the sampling commands, which take no formal power."""
+    poly = parse_poly_spec(spec)
+    if isinstance(poly, polyrep.FormalPower):
+        raise CLIUsageError(f"{spec!r}: formal powers are never sampled; pass the base")
+    return poly
 
 
 def _int_arg(text: str, spec: str) -> int:
@@ -110,34 +123,36 @@ def parse_pair_spec(spec: str) -> PairSpec:
     v_text, sep, w_text = spec[2:].partition(",w=")
     if not sep or not v_text or not w_text:
         raise CLIUsageError(f"pair spec {spec!r} must supply both v= and w=")
-    return PairSpec.of(parse_poly_spec(v_text), parse_poly_spec(w_text))
+    v, w = parse_poly_spec(v_text), parse_poly_spec(w_text)
+    try:
+        return PairSpec.of(v, w)
+    except ValueError as exc:
+        raise CLIUsageError(f"pair spec {spec!r}: {exc}") from exc
 
 
 def parse_sigma_spec(spec: str, ambient: int) -> GroupElement:
     """diag:<entries>, ray:<exponents>:<t>, or a JSON matrix file."""
-    if spec.startswith("diag:"):
-        entries = [float(x) for x in spec[5:].split(",")]
-        if len(entries) != ambient:
-            raise CLIUsageError(f"diagonal length {len(entries)} != ambient {ambient}")
-        return GroupElement.diagonal(tuple(entries))
-    if spec.startswith("ray:"):
-        body = spec[4:]
-        lam_text, _, t_text = body.rpartition(":")
-        try:
-            lam = OnePSG(tuple(int(x) for x in lam_text.split(",")))
-            t = float(t_text)
-        except ValueError as exc:
-            raise CLIUsageError(f"bad ray spec {spec!r}") from exc
-        if len(lam.exponents) != ambient:
-            raise CLIUsageError(f"ray length != ambient {ambient}")
-        return GroupElement.from_matrix(lam.matrix(t))
     path = Path(spec)
-    if not path.exists():
+    if not spec.startswith(("diag:", "ray:")) and not path.exists():
         raise CLIUsageError(f"sigma spec {spec!r}: no such form or file")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    mat = np.array([[complex(*e) if isinstance(e, list) else complex(e) for e in row]
-                    for row in data])
-    return GroupElement.from_matrix(mat)
+    try:
+        if spec.startswith("diag:"):
+            sigma = GroupElement.diagonal(tuple(float(x) for x in spec[5:].split(",")))
+        elif spec.startswith("ray:"):
+            lam_text, _, t_text = spec[4:].rpartition(":")
+            lam = OnePSG(tuple(int(x) for x in lam_text.split(",")))
+            sigma = GroupElement.from_matrix(lam.matrix(float(t_text)))
+        else:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            sigma = GroupElement.from_matrix(np.array(
+                [[complex(*e) if isinstance(e, list) else complex(e) for e in row]
+                 for row in data]))
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise CLIUsageError(f"bad sigma spec {spec!r}: {exc}") from exc
+    if sigma.size != ambient:
+        raise CLIUsageError(f"sigma spec {spec!r} has size {sigma.size}, "
+                            f"the pair has {ambient} columns")
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +271,11 @@ def _fraction_str(x) -> str:
     return str(Fraction(x))
 
 
+def _fields(obj, names: str) -> dict:
+    """The named attributes of obj, for a payload."""
+    return {name: getattr(obj, name) for name in names.split()}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -307,15 +327,9 @@ def _cmd_stable_search(args) -> int:
     pair = parse_pair_spec(args.pair)
     m = pairstab.stable_search(pair, q=args.q, m_max=args.m_max, scheme=args.scheme,
                                probe_trials=args.probe_trials, rng_seed=args.seed)
-    payload = {
-        "schema": SCHEMA,
-        "pair": args.pair,
-        "q": args.q,
-        "m_max": args.m_max,
-        "scheme": args.scheme,
-        "exponent": m,
-        "status": "stable-with-exponent" if m is not None else "no-exponent-found",
-    }
+    payload = {"schema": SCHEMA, "pair": args.pair, "exponent": m,
+               **_fields(args, "q m_max scheme"),
+               "status": "stable-with-exponent" if m is not None else "no-exponent-found"}
     _emit_report(args, payload)
     return 0
 
@@ -324,18 +338,9 @@ def _cmd_energy(args) -> int:
     pair = parse_pair_spec(args.pair)
     sigma = parse_sigma_spec(args.sigma, pair.ambient)
     rep = energy.energy_report(pair, sigma, samples=args.samples, seed=args.seed)
-    payload = {
-        "schema": SCHEMA,
-        "pair": args.pair,
-        "sigma": args.sigma,
-        "nu": rep.nu,
-        "j": rep.j,
-        "components": {
-            "w_log_ratio": rep.components[0],
-            "v_log_ratio": rep.components[1],
-            "trace_term": rep.components[2],
-        },
-    }
+    payload = {"schema": SCHEMA, "pair": args.pair, "sigma": args.sigma, "nu": rep.nu,
+               "j": rep.j, "components": dict(zip(("w_log_ratio", "v_log_ratio",
+                                                   "trace_term"), rep.components))}
     _emit_report(args, payload)
     return 0
 
@@ -361,19 +366,13 @@ def _cmd_energy_scan(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    poly = parse_poly_spec(args.poly)
+    poly = _evaluable_poly(args.poly)
+    if not args.s >= 0:
+        raise CLIUsageError(f"--s must be >= 0, got {args.s}")
     est = igusa.zeta(poly, args.s, samples=args.samples, seed=args.seed,
                      threads=_resolve_threads(args))
-    payload = {
-        "schema": SCHEMA,
-        "poly": args.poly,
-        "s": est.s,
-        "value": est.value,
-        "log_value": est.log_value,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "seed": args.seed,
-    }
+    payload = {"schema": SCHEMA, "poly": args.poly, "seed": args.seed,
+               **_fields(est, "s value log_value stderr samples")}
     if args.poly.startswith("det:"):
         n = int(args.poly.split(":")[1])
         payload["closed_form"] = {
@@ -388,52 +387,37 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    poly = parse_poly_spec(args.poly)
+    poly = _evaluable_poly(args.poly)
     rep = igusa.height(poly, samples=args.samples, seed=args.seed,
                        threads=_resolve_threads(args))
-    payload = {
-        "schema": SCHEMA,
-        "poly": args.poly,
-        "h": rep.h,
-        "log_Z1": rep.log_Z1,
-        "Zprime0": rep.Zprime0,
-        "stderr": rep.stderr,
-        "ci_halfwidth": rep.ci_halfwidth,
-        "method": rep.method,
-        "samples": rep.samples,
-        "seed": args.seed,
-    }
+    payload = {"schema": SCHEMA, "poly": args.poly, "seed": args.seed,
+               **_fields(rep, "h log_Z1 Zprime0 stderr ci_halfwidth method samples")}
     if args.audit_bounds:
         if poly.shape.rows != 1:
             raise CLIUsageError("--audit-bounds applies to vector variable spaces")
         audit = igusa.height_bounds_audit(poly, samples=args.samples, seed=args.seed,
                                           threads=_resolve_threads(args))
-        payload["bounds"] = {
-            "lower": audit.lower,
-            "lower_alt": audit.lower_alt,
-            "upper": audit.upper,
-            "pass_lower": audit.pass_lower,
-            "pass_lower_alt": audit.pass_lower_alt,
-            "pass_upper": audit.pass_upper,
-        }
+        payload["bounds"] = _fields(
+            audit, "lower lower_alt upper pass_lower pass_lower_alt pass_upper")
     _emit_report(args, payload)
     return 0
 
 
-def _parse_range(text: str) -> list:
+def _parse_range(text: str, least: int) -> list:
     lo, sep, hi = text.partition(":")
     try:
-        if sep:
-            return list(range(int(lo), int(hi) + 1))
-        return [int(lo)]
+        values = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
     except ValueError as exc:
         raise CLIUsageError(f"bad degree range {text!r}") from exc
+    if not values or values[0] < least:
+        raise CLIUsageError(f"degree range {text!r} must be nonempty and start at >= {least}")
+    return values
 
 
 def _cmd_degeneration(args) -> int:
     # the table is built in for curves (n = 1); the library takes any n
     rows = []
-    for d in _parse_range(args.d_range):
+    for d in _parse_range(args.d_range, 1):
         lim = igusa.degeneration_limit_heights(
             n=1, N=d, d=d, deg_R=2 * d, deg_Delta=2 * d - 2,
             convention=args.convention)
@@ -450,9 +434,7 @@ def _cmd_degeneration(args) -> int:
 
 
 def _cmd_discrepancy(args) -> int:
-    if args.family != "rnc":
-        raise CLIUsageError(f"unknown family {args.family!r}")
-    d_values = _parse_range(args.d)
+    d_values = _parse_range(args.d, 2)
     rows, fit = varieties.discrepancy_table(d_values, samples=args.samples,
                                             seed=args.seed,
                                             threads=_resolve_threads(args))
@@ -471,18 +453,8 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_variety(args) -> int:
-    if args.family != "rnc":
-        raise CLIUsageError(f"unknown family {args.family!r}")
     example = varieties.rnc_example(args.d)
-    payload = {
-        "schema": SCHEMA,
-        "family": example.family,
-        "n": example.n,
-        "N": example.N,
-        "d": example.d,
-        "deg_R": example.deg_R,
-        "deg_Delta": example.deg_Delta,
-    }
+    payload = {"schema": SCHEMA, **_fields(example, "family n N d deg_R deg_Delta")}
     for key, poly in (("R_X", example.R_X), ("Delta_X", example.Delta_X)):
         if isinstance(poly, polyrep.SparsePolynomial):
             payload[key] = json.loads(polyrep.poly_to_json(poly))
@@ -498,89 +470,89 @@ def _cmd_variety(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _at_least(least: int):
+    """argparse type: an integer >= least."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "integer"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabpair",
         description="semistability of pairs, energies, zeta functions and heights")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, reads=(), samples_default=10**6):
+    def command(name, func, help, reads=(), samples_default=10**6):
         # --out and --format, plus those of --seed, --samples, --threads it reads
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=["json", "csv"], default=None)
-        defaults = {"seed": 0, "samples": samples_default, "threads": None}
+        kinds = {"seed": (int, 0), "samples": (_at_least(2), samples_default),
+                 "threads": (int, None)}
         for flag in reads:
-            p.add_argument(f"--{flag}", type=int, default=defaults[flag])
+            kind, default = kinds[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default)
+        return p
 
     monte_carlo = ("seed", "samples", "threads")
 
-    p = sub.add_parser("polytope", help="weight polytope of a polynomial")
+    p = command("polytope", _cmd_polytope, "weight polytope of a polynomial")
     p.add_argument("--poly", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_polytope)
 
-    p = sub.add_parser("semistable", help="pair semistability probe")
+    p = command("semistable", _cmd_semistable, "pair semistability probe", ("seed",))
     p.add_argument("--pair", required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.add_argument("--expect", choices=["semistable", "destabilized"], default=None)
-    common(p, ("seed",))
-    p.set_defaults(func=_cmd_semistable)
 
-    p = sub.add_parser("stable-search", help="twist exponent search")
+    p = command("stable-search", _cmd_stable_search, "twist exponent search", ("seed",))
     p.add_argument("--pair", required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_at_least(1), required=True)
     p.add_argument("--m-max", type=int, default=50)
     p.add_argument("--scheme", choices=["m:m+1", "m-1:m"], default="m:m+1")
-    p.add_argument("--probe-trials", type=int, default=0)
-    common(p, ("seed",))
-    p.set_defaults(func=_cmd_stable_search)
+    p.add_argument("--probe-trials", type=_at_least(0), default=0)
 
-    p = sub.add_parser("energy", help="nu and J at one group element")
+    p = command("energy", _cmd_energy, "nu and J at one group element",
+                ("seed", "samples"), samples_default=200_000)
     p.add_argument("--pair", required=True)
     p.add_argument("--sigma", required=True)
-    common(p, ("seed", "samples"), samples_default=200_000)
-    p.set_defaults(func=_cmd_energy)
 
-    p = sub.add_parser("energy-scan", help="nu and J along sampled diagonal rays")
+    p = command("energy-scan", _cmd_energy_scan, "nu and J along sampled diagonal rays",
+                ("seed",))
     p.add_argument("--pair", required=True)
-    p.add_argument("--rays", type=int, default=8)
+    p.add_argument("--rays", type=_at_least(0), default=8)
     p.add_argument("--decades", type=int, default=6)
-    p.add_argument("--points", type=int, default=13)
-    common(p, ("seed",))
-    p.set_defaults(func=_cmd_energy_scan)
+    p.add_argument("--points", type=_at_least(0), default=13)
 
-    p = sub.add_parser("zeta", help="Gaussian local zeta value")
+    p = command("zeta", _cmd_zeta, "Gaussian local zeta value", monte_carlo)
     p.add_argument("--poly", required=True)
     p.add_argument("--s", type=float, required=True)
-    common(p, monte_carlo)
-    p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("height", help="height of a polynomial")
+    p = command("height", _cmd_height, "height of a polynomial", monte_carlo)
     p.add_argument("--poly", required=True)
     p.add_argument("--audit-bounds", action="store_true")
-    common(p, monte_carlo)
-    p.set_defaults(func=_cmd_height)
 
-    p = sub.add_parser("degeneration", help="closed-form limit heights table (curves)")
+    p = command("degeneration", _cmd_degeneration,
+                "closed-form limit heights table (curves)")
     p.add_argument("--d-range", required=True)
-    p.add_argument("--convention", choices=list(igusa.CONVENTIONS),
-                   default="standard")
-    common(p)
-    p.set_defaults(func=_cmd_degeneration)
+    p.add_argument("--convention", choices=list(igusa.CONVENTIONS), default="standard")
 
-    p = sub.add_parser("discrepancy", help="Monte Carlo height-discrepancy table")
-    p.add_argument("--family", default="rnc")
+    p = command("discrepancy", _cmd_discrepancy, "Monte Carlo height-discrepancy table",
+                monte_carlo, samples_default=200_000)
     p.add_argument("--d", required=True)
-    common(p, monte_carlo, samples_default=200_000)
-    p.set_defaults(func=_cmd_discrepancy)
 
-    p = sub.add_parser("variety", help="emit a built-in variety's forms")
-    p.add_argument("--family", default="rnc")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--emit", dest="out", type=str, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_variety)
-
+    p = command("variety", _cmd_variety, "emit a rational normal curve's forms")
+    p.add_argument("--d", type=_at_least(2), required=True)
+    # undocumented spellings that bench/commands.py still passes: the only
+    # family, and an alias of --out
+    p.add_argument("--family", choices=["rnc"], default=argparse.SUPPRESS,
+                   help=argparse.SUPPRESS)
+    p.add_argument("--emit", dest="out", help=argparse.SUPPRESS)
     return parser
 
 
@@ -596,11 +568,11 @@ def main(argv=None) -> int:
     except ExpectationFailed as exc:
         print(f"verdict: {exc}", file=sys.stderr)
         return 1
-    except (CLIUsageError, ValueError) as exc:
-        # invalid arguments surfacing from any layer are usage errors
+    except CLIUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, igusa.EvaluationError) as exc:
+    except (ValueError, ArithmeticError, igusa.EvaluationError) as exc:
+        # past parsing, a ValueError from a layer is an internal fault
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -96,14 +96,10 @@ def gaussian_inner(p: SparsePolynomial, q: SparsePolynomial) -> complex:
     if p.shape != q.shape:
         raise ValueError("shape mismatch")
     total = 0j
-    small, large = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
-    swap = len(p.terms) > len(q.terms)
-    for exps, c in small.items():
-        other = large.get(exps)
-        if other is None:
-            continue
-        a, b = (other, c) if swap else (c, other)
-        total += complex(a) * complex(b).conjugate() * _monomial_weight(exps)
+    for exps, c in p.terms.items():
+        other = q.terms.get(exps)
+        if other is not None:
+            total += complex(c) * complex(other).conjugate() * _monomial_weight(exps)
     return total
 
 
@@ -112,14 +108,22 @@ def gaussian_inner(p: SparsePolynomial, q: SparsePolynomial) -> complex:
 # element or along a diagonal ray, and nu and J formed from it
 # ---------------------------------------------------------------------------
 
-def _log_norm_ratio(p: AnyPolynomial, sigma: GroupElement,
-                    samples: int = 200_000, seed=0) -> float:
-    """log(||sigma.P||^2 / ||P||^2), linear through formal powers."""
+def _log_norm_ratio(p: AnyPolynomial, sigma: GroupElement, samples: int = 200_000,
+                    seed=0, base_log_norm: Optional[float] = None) -> float:
+    """log(||sigma.P||^2 / ||P||^2), linear through formal powers; a caller
+    acting on P many times passes log ||B||^2 of its base B once computed."""
     if isinstance(p, FormalPower):
-        return p.exponent * _log_norm_ratio(p.base, sigma, samples, seed)
-    acted = act(sigma, p)
-    return (log_gaussian_norm_sq(acted, samples=samples, seed=seed)
-            - log_gaussian_norm_sq(p, samples=samples, seed=seed))
+        return p.exponent * _log_norm_ratio(p.base, sigma, samples, seed, base_log_norm)
+    if base_log_norm is None:
+        base_log_norm = log_gaussian_norm_sq(p, samples=samples, seed=seed)
+    return log_gaussian_norm_sq(act(sigma, p), samples=samples, seed=seed) - base_log_norm
+
+
+def _base_log_norm(p: AnyPolynomial) -> float:
+    """log ||B||^2 of the base B of P (P itself unless a formal power)."""
+    while isinstance(p, FormalPower):
+        p = p.base
+    return log_gaussian_norm_sq(p)
 
 
 def _logsumexp(arr: np.ndarray) -> float:
@@ -143,16 +147,18 @@ def _ray_log_norm_ratio(p: AnyPolynomial, lam: OnePSG, log_ts: list) -> np.ndarr
 
 
 def _components(sigma: GroupElement, v: AnyPolynomial, w: Optional[AnyPolynomial] = None,
-                ambient: Optional[int] = None, samples: int = 200_000, seed=0) -> tuple:
+                ambient: Optional[int] = None, samples: int = 200_000, seed=0,
+                base_log_norms: tuple = (None, None)) -> tuple:
     """(w log-ratio, v log-ratio, trace term) at sigma, the trace term being
     log(Trace(sigma sigma*)/ambient).  A part whose input (w or ambient) is
-    None is left out as None."""
-    w_ratio = None if w is None else _log_norm_ratio(w, sigma, samples, seed)
+    None is left out as None; `base_log_norms` are those of (w, v), if known."""
+    w_norm, v_norm = base_log_norms
+    w_ratio = None if w is None else _log_norm_ratio(w, sigma, samples, seed, w_norm)
     trace_term = None
     if ambient is not None:
         m = sigma.matrix
         trace_term = math.log(float(np.real(np.trace(m @ m.conj().T))) / ambient)
-    return w_ratio, _log_norm_ratio(v, sigma, samples, seed), trace_term
+    return w_ratio, _log_norm_ratio(v, sigma, samples, seed, v_norm), trace_term
 
 
 def _ray_components(lam: OnePSG, ts: Sequence[float], v: AnyPolynomial,
@@ -194,9 +200,12 @@ class EnergyReport:
 
 
 def nu_pair(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
-            samples: int = 200_000, seed=0) -> float:
-    """nu(sigma) for the pair; exact for sparse data, sampled for black boxes."""
-    parts = _components(_as_element(sigma), pair.v, pair.w, samples=samples, seed=seed)
+            samples: int = 200_000, seed=0, base_log_norms: tuple = (None, None)) -> float:
+    """nu(sigma) for the pair; exact for sparse data, sampled for black boxes.
+    `base_log_norms` are log ||w||^2 and log ||v||^2 (of the bases of formal
+    powers), when already known."""
+    parts = _components(_as_element(sigma), pair.v, pair.w, samples=samples, seed=seed,
+                        base_log_norms=base_log_norms)
     return _energies(parts)[0]
 
 
@@ -333,17 +342,9 @@ def _sl_exp(params, n: int) -> np.ndarray:
     """exp of a traceless complex matrix; its closure fills SL(n, C)."""
     import scipy.linalg as sla
 
-    half = (n * n - 1)
-    re = np.asarray(params[:half])
-    im = np.asarray(params[half:])
-    mat = np.zeros((n, n), dtype=complex)
-    idx = 0
-    for i in range(n):
-        for j in range(n):
-            if i == n - 1 and j == n - 1:
-                continue
-            mat[i, j] = complex(re[idx], im[idx])
-            idx += 1
+    half = n * n - 1
+    entries = np.asarray(params[:half]) + 1j * np.asarray(params[half:])
+    mat = np.append(entries, 0).reshape(n, n)
     mat[n - 1, n - 1] = -np.trace(mat)
     return sla.expm(mat)
 
@@ -373,10 +374,12 @@ def nu_infimum(pair: PairSpec, restarts: int = 20, seed=0,
     restart.
     """
     dim, build = _nu_param_builder(pair.ambient)
+    norms = (_base_log_norm(pair.w), _base_log_norm(pair.v))
 
     def objective(params):
         try:
-            return nu_pair(pair, GroupElement.from_matrix(build(params)))
+            return nu_pair(pair, GroupElement.from_matrix(build(params)),
+                           base_log_norms=norms)
         except (ValueError, OverflowError):
             return math.inf
 
@@ -424,22 +427,14 @@ def orbit_distance(pair: PairSpec, restarts: int = 30, seed=0,
     w = _unit_scaled(pair.w)
     n = pair.ambient
 
+    # the v-only point moves as in nu_infimum; at n = 2 the pair point also
+    # needs the unitary factor that nu drops
+    dim1, build1 = dim2, build2 = _nu_param_builder(n)
     if n == 2:
-        dim1, dim2 = 6, 3
+        dim1 = 6
 
         def build1(params):
             return _su2(params[:3]) @ _sl2_upper(params[3:6])
-
-        def build2(params):
-            return _sl2_upper(params)
-    else:
-        dim1 = dim2 = 2 * (n * n - 1)
-
-        def build1(params):
-            return _sl_exp(params, n)
-
-        def build2(params):
-            return _sl_exp(params, n)
 
     def overlap(params):
         s1 = GroupElement.from_matrix(build1(params[:dim1]))

@@ -148,20 +148,11 @@ def separating_functionals(polytope: LatticePolytope) -> list:
     `polytope` iff min over Q >= min over `polytope` for every one of these.
     """
     equalities, inequalities = polytope.halfspaces()
-    lams = []
-    seen = set()
-    for n, _c in equalities:
-        for sign in (1, -1):
-            try:
-                lam = _project_primitive([sign * x for x in n], polytope.dim)
-            except ValueError:
-                continue
-            if lam not in seen:
-                seen.add(lam)
-                lams.append(OnePSG(lam))
-    for u, _c in inequalities:
+    normals = [[sign * x for x in n] for n, _c in equalities for sign in (1, -1)]
+    lams, seen = [], set()
+    for vec in normals + [u for u, _c in inequalities]:
         try:
-            lam = _project_primitive(u, polytope.dim)
+            lam = _project_primitive(vec, polytope.dim)
         except ValueError:
             continue
         if lam not in seen:

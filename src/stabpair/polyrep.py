@@ -11,7 +11,14 @@ The group SL(N+1, C) acts by substitution on columns:
 
 which composes as act(s1, act(s2, P)) = act(s1 s2, P).  Any consistent
 one-sided convention yields the same orbit norms for the unitarily
-invariant norms used downstream.
+invariant norms used downstream.  The action is a tensor action: terms
+sharing a row-degree pattern (d_1, ..., d_k) form a dense coefficient
+tensor in Sym^{d_1} (x) ... (x) Sym^{d_k} on a fixed monomial basis per
+degree, and sigma maps it by one mode product per row with the matrix
+S_d(sigma) of x^a -> prod_l (sum_k sigma[k, l] x_k)^{a_l}, built by the
+degree recursion on the columns the input uses.  Exact group elements on
+exact coefficients run on Python int / Fraction objects, anything else in
+complex128.
 
 Large resultants and hyperdiscriminants are never expanded; they enter as
 black-box polynomials (one evaluator mapping a (count, rows, cols) stack to
@@ -23,10 +30,12 @@ kinds a single point is a batch of one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -136,7 +145,7 @@ class SparsePolynomial:
     returns new objects and never mutates existing ones.
     """
 
-    __slots__ = ("shape", "terms", "degree")
+    __slots__ = ("shape", "terms", "degree", "_plan")
 
     def __init__(self, shape: MatrixShape, terms: dict, degree: Optional[int] = None):
         shape = MatrixShape(*shape)
@@ -163,6 +172,14 @@ class SparsePolynomial:
         self.shape = shape
         self.terms = clean
         self.degree = degree
+        self._plan = None  # cached by act
+
+    @classmethod
+    def _trusted(cls, shape: MatrixShape, terms: dict, degree: int) -> "SparsePolynomial":
+        """Wrap terms already known to be nonzero, well-shaped and of `degree`."""
+        p = object.__new__(cls)
+        p.shape, p.terms, p.degree, p._plan = shape, terms, degree, None
+        return p
 
     # -- basic structure -----------------------------------------------------
 
@@ -237,19 +254,6 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = constant(self.shape, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     # -- evaluation --------------------------------------------------------------
 
     def _term_sum(self, x, total, cast):
@@ -305,7 +309,7 @@ class GroupElement:
 
     The original entries are kept verbatim so that integer / rational group
     elements substitute exactly into polynomials; `matrix` is the complex
-    working copy.
+    working copy, made on first use and read-only.
     """
 
     entries: tuple
@@ -330,15 +334,16 @@ class GroupElement:
     def size(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.array([[complex(e) for e in row] for row in self.entries],
-                        dtype=complex)
+        matrix = np.array([[complex(e) for e in row] for row in self.entries],
+                          dtype=complex)
+        matrix.flags.writeable = False
+        return matrix
 
     @staticmethod
     def identity(n: int) -> "GroupElement":
-        return GroupElement(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                  for i in range(n)))
+        return GroupElement.diagonal((1,) * n)
 
     @staticmethod
     def diagonal(diag: Sequence) -> "GroupElement":
@@ -465,29 +470,14 @@ def constant(shape: MatrixShape, value=1) -> SparsePolynomial:
 
 def determinant_poly(n: int) -> SparsePolynomial:
     """Determinant of the n x n matrix space as an explicit n!-term polynomial."""
-    import itertools as _it
-
     if n < 1:
         raise ValueError("determinant size must be >= 1")
-    shape = MatrixShape(n, n)
     terms = {}
-    for perm in _it.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):  # cycle-count parity
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        exps = tuple(tuple(1 if j == perm[i] else 0 for j in range(n))
-                     for i in range(n))
-        terms[exps] = sign
-    return SparsePolynomial(shape, terms, n)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        exps = tuple(tuple(int(j == perm[i]) for j in range(n)) for i in range(n))
+        terms[exps] = (-1) ** inversions
+    return SparsePolynomial(MatrixShape(n, n), terms, n)
 
 
 # ---------------------------------------------------------------------------
@@ -533,37 +523,88 @@ def act(sigma: Union[GroupElement, np.ndarray, Sequence], p: AnyPolynomial):
         return BlackBoxPolynomial(shape=p.shape, degree=p.degree,
                                   evaluator=lambda b: base(b @ mat),
                                   name=f"{p.name}.acted", check_samples=0)
-    exact = sigma.is_exact and p.has_exact_coefficients()
-    entries = (sigma.entries if exact
-               else tuple(tuple(complex(e) for e in row) for row in sigma.entries))
-    shape = p.shape
-    # variable (i, l) pulls back to the linear form sum_k sigma[k][l] x[i, k]
-    form_cache = {}
+    if sigma.is_exact and p.has_exact_coefficients():
+        return _substitute(np.array(sigma.entries, dtype=object), p, object)
+    return _substitute(sigma.matrix, p, complex)
 
-    def linear_form(i: int, l: int) -> SparsePolynomial:
-        key = (i, l)
-        if key not in form_cache:
-            terms = {}
-            for k in range(shape.cols):
-                c = entries[k][l]
-                if c == 0:
-                    continue
-                exps = tuple(tuple(1 if (r == i and j == k) else 0
-                                   for j in range(shape.cols))
-                             for r in range(shape.rows))
-                terms[exps] = c
-            form_cache[key] = SparsePolynomial(shape, terms, 1)
-        return form_cache[key]
 
-    result = SparsePolynomial(shape, {}, p.degree)
+@lru_cache(maxsize=None)
+def _sym_basis(n: int, d: int) -> tuple:
+    """(basis, down): the degree-d monomials in n variables as exponent
+    tuples, and down[k, i], the position of basis[i] - e_k one degree lower
+    (or the size of that basis, a zero row, when basis[i] lacks x_k)."""
+    basis = [tuple(combo.count(k) for k in range(n))
+             for combo in itertools.combinations_with_replacement(range(n), d)]
+    if not d:
+        return basis, None
+    lower = {a: i for i, a in enumerate(_sym_basis(n, d - 1)[0])}
+    return basis, np.array([[lower.get(b[:k] + (b[k] - 1,) + b[k + 1:], len(lower))
+                             for b in basis] for k in range(n)], dtype=np.intp)
+
+
+def _action_plan(p: SparsePolynomial) -> tuple:
+    """(links, groups), the part of `_substitute` that depends on P alone.
+
+    The row exponents of each degree are numbered, inputs first, and closed
+    under a -> a - e_l with l the first nonzero slot; links[d - 1] holds the
+    parent numbers and slots l of degree d.  A group is a row-degree
+    pattern, its tensor shape over the input numbers, and the flat cells
+    and coefficients of its terms.
+    """
+    levels, by_pattern = {}, {}
     for exps, coeff in p.terms.items():
-        term = constant(shape, coeff)
-        for i, row in enumerate(exps):
-            for l, e in enumerate(row):
-                if e:
-                    term = term * (linear_form(i, l) ** e)
-        result = result + term
-    return result
+        pattern = tuple(map(sum, exps))
+        by_pattern.setdefault(pattern, []).append((exps, coeff))
+        for row, d in zip(exps, pattern):
+            levels.setdefault(d, {}).setdefault(row, len(levels[d]))
+    used = {d: len(level) for d, level in levels.items()}
+    links = []
+    for d in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(d - 1, {})
+        slots = [next(k for k, e in enumerate(a) if e) for a in levels[d]]
+        parents = [below.setdefault(a[:l] + (a[l] - 1,) + a[l + 1:], len(below))
+                   for a, l in zip(levels[d], slots)]
+        links.insert(0, (np.array(parents, dtype=np.intp), np.array(slots, dtype=np.intp)))
+    groups = []
+    for pattern, items in by_pattern.items():
+        shape = tuple(used[d] for d in pattern)
+        cells = [np.ravel_multi_index([levels[d][row] for row, d in zip(exps, pattern)], shape)
+                 for exps, _ in items]
+        groups.append((pattern, shape, cells, [c for _, c in items]))
+    return links, groups
+
+
+def _substitute(sig: np.ndarray, p: SparsePolynomial, dtype) -> SparsePolynomial:
+    """sigma . P on `dtype` (object for exact int / Fraction, or complex).
+
+    Column a of S_d(sigma), the image of x^a, is its parent's column times
+    the linear form sum_k sigma[k, l] x_k, so the columns P uses are built
+    degree by degree; each pattern's tensor then takes one mode product per
+    row.  Column arrays carry a zero row last, for `down` to point at.
+    """
+    if p._plan is None:
+        p._plan = _action_plan(p)
+    links, groups = p._plan
+    n = p.shape.cols
+    columns = [np.array([[1], [0]], dtype=dtype)]
+    for d, (parent, slot) in enumerate(links, 1):
+        down = _sym_basis(n, d)[1]
+        cols = np.zeros((down.shape[1] + 1, len(parent)), dtype=dtype)
+        cols[:-1] = (columns[-1][down[:, :, None], parent] * sig[:, slot][:, None, :]).sum(axis=0)
+        columns.append(cols)
+    terms = {}
+    for pattern, shape, cells, coeffs in groups:
+        tensor = np.zeros(math.prod(shape), dtype=dtype)
+        tensor[cells] = coeffs
+        for d, m in zip(reversed(pattern), reversed(shape)):
+            tensor = columns[d][:-1, :m] @ tensor.reshape(-1, m).T
+        flat = tensor.ravel()
+        nonzero = flat.nonzero()[0]
+        bases = [_sym_basis(n, d)[0] for d in pattern]
+        index = np.unravel_index(nonzero, [len(basis) for basis in bases])
+        rows = ([basis[i] for i in axis.tolist()] for basis, axis in zip(bases, index))
+        terms.update(zip(zip(*rows), flat[nonzero].tolist()))
+    return SparsePolynomial._trusted(p.shape, terms, p.degree)
 
 
 def evaluate(p: AnyPolynomial, a) -> complex:
@@ -581,11 +622,7 @@ def evaluate_batch(p: AnyPolynomial, batch: np.ndarray) -> np.ndarray:
 def tensor_support(v: AnyPolynomial, w: AnyPolynomial) -> set:
     """Support of the tensor product: all pairwise character sums."""
     sup_v, sup_w = support(v), support(w)
-    if not sup_v or not sup_w:
-        raise ValueError("tensor_support of a zero polynomial")
-    sample_v = next(iter(sup_v))
-    sample_w = next(iter(sup_w))
-    if len(sample_v.degrees) != len(sample_w.degrees):
+    if v.shape.cols != w.shape.cols:
         raise ValueError("ambient dimension mismatch")
     return {a + b for a in sup_v for b in sup_w}
 
@@ -699,10 +736,17 @@ def measured_degree(p: Union[SparsePolynomial, BlackBoxPolynomial], rng_seed=3) 
 # ---------------------------------------------------------------------------
 
 def poly_to_json(p: SparsePolynomial) -> str:
+    """JSON text of a sparse polynomial; a non-integer rational coefficient
+    is written exactly as "q": "num/den", any other as "re" and "im"."""
     terms = []
     for exps, coeff in sorted(p.terms.items()):
-        c = complex(coeff)
-        terms.append({"exps": [list(row) for row in exps], "re": c.real, "im": c.imag})
+        term = {"exps": [list(row) for row in exps]}
+        if isinstance(coeff, Fraction) and coeff.denominator != 1:
+            term["q"] = str(coeff)
+        else:
+            c = complex(coeff)
+            term["re"], term["im"] = c.real, c.imag
+        terms.append(term)
     return json.dumps({"shape": [p.shape.rows, p.shape.cols],
                        "degree": p.degree, "terms": terms})
 
@@ -713,8 +757,11 @@ def poly_from_json(text: str) -> SparsePolynomial:
     terms = {}
     for item in payload["terms"]:
         exps = tuple(tuple(int(e) for e in row) for row in item["exps"])
-        re, im = item.get("re", 0.0), item.get("im", 0.0)
-        coeff = int(re) if im == 0 and float(re).is_integer() else complex(re, im)
+        if "q" in item:
+            coeff = Fraction(item["q"])
+        else:
+            re, im = item.get("re", 0.0), item.get("im", 0.0)
+            coeff = int(re) if im == 0 and float(re).is_integer() else complex(re, im)
         terms[exps] = coeff
     p = SparsePolynomial(shape, terms)
     declared = payload.get("degree")

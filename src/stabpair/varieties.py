@@ -112,22 +112,10 @@ def poly_det(rows: Sequence[Sequence[SparsePolynomial]]) -> SparsePolynomial:
 
 def _sylvester_rows(f: Sequence, g: Sequence, shape: MatrixShape):
     """Symbolic Sylvester matrix of two coefficient vectors (degrees from length)."""
-    df = len(f) - 1
-    dg = len(g) - 1
-    size = df + dg
+    size = len(f) + len(g) - 2
     zero = SparsePolynomial(shape, {}, 0)
-    rows = []
-    for i in range(dg):
-        row = [zero] * size
-        for j, coeff in enumerate(f):
-            row[i + j] = coeff
-        rows.append(row)
-    for i in range(df):
-        row = [zero] * size
-        for j, coeff in enumerate(g):
-            row[i + j] = coeff
-        rows.append(row)
-    return rows
+    return [[zero] * i + list(coeffs) + [zero] * (size - i - len(coeffs))
+            for coeffs, count in ((f, len(g) - 1), (g, len(f) - 1)) for i in range(count)]
 
 
 def sylvester_resultant(f: Sequence[SparsePolynomial],

@@ -171,8 +171,7 @@ def test_degeneration_csv(tmp_path):
 def test_discrepancy_csv_and_determinism(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    argv = ["discrepancy", "--family", "rnc", "--d", "2:3", "--samples", "20000",
-            "--seed", "5"]
+    argv = ["discrepancy", "--d", "2:3", "--samples", "20000", "--seed", "5"]
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b), "--threads", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -184,11 +183,13 @@ def test_discrepancy_csv_and_determinism(tmp_path):
 
 def test_variety_emit(tmp_path):
     out = tmp_path / "conic.json"
-    assert run(["variety", "--family", "rnc", "--d", "2", "--out", str(out)]) == 0
+    assert run(["variety", "--d", "2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["deg_R"] == 4 and payload["deg_Delta"] == 2
     assert payload["R_X"]["degree"] == 4
-    assert run(["variety", "--family", "rnc", "--d", "6", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "conic.json.manifest.json").read_text())
+    assert manifest["flags"] == {"d": 2, "out": str(out)}
+    assert run(["variety", "--d", "6", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["R_X"]["blackbox"].startswith("rnc-resultant")
 
@@ -231,10 +232,14 @@ def test_formal_power_spec_and_normalized_pair():
     assert _json.loads(buf.getvalue())["status"].startswith("semistable-certified")
 
 
-def test_variety_emit_alias(tmp_path):
+def test_variety_emit_alias(tmp_path, capsys):
+    # --family rnc and --emit still parse, but help no longer lists them
     out = tmp_path / "alias.json"
     assert run(["variety", "--family", "rnc", "--d", "2", "--emit", str(out)]) == 0
     assert json.loads(out.read_text())["deg_R"] == 4
+    assert run(["variety", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--out" in usage and "--emit" not in usage and "--family" not in usage
 
 
 def test_csv_cells_never_leak_numpy_reprs():
@@ -265,5 +270,27 @@ def test_usage_errors_exit_two(capsys):
     assert run(["zeta", "--poly", "bogus:1", "--s", "1"]) == 2
     assert run(["zeta", "--poly", "disc:1", "--s", "1"]) == 2  # family needs d >= 2
     assert run(["degeneration", "--d-range", "x:y"]) == 2
-    assert run(["discrepancy", "--family", "nope", "--d", "2"]) == 2
+    assert run(["discrepancy", "--family", "rnc", "--d", "2"]) == 2  # flag removed
+    assert run(["discrepancy", "--d", "1:3"]) == 2
     assert run(["not-a-command"]) == 2
+    assert run(["semistable", "--pair", "v=disc:2,w=disc:2", "--trials", "0"]) == 2
+    assert run(["energy", "--pair", "v=res:2,w=disc:3", "--sigma", "diag:1,1,1"]) == 2
+    assert run(["energy", "--pair", "v=res:2,w=disc:2", "--sigma", "diag:0,1,1"]) == 2
+    assert run(["energy", "--pair", "v=res:2,w=disc:2", "--sigma", "diag:1,1"]) == 2
+    assert run(["zeta", "--poly", "det:2", "--s", "-1"]) == 2
+    assert run(["zeta", "--poly", "disc:2^2", "--s", "1"]) == 2
+    assert run(["height", "--poly", "monomial:1,-1"]) == 2
+    assert run(["variety", "--d", "1"]) == 2
+
+
+def test_internal_value_error_exits_three(monkeypatch, capsys):
+    from stabpair import pairstab
+
+    def broken(poly):
+        raise ValueError("planted internal fault")
+
+    monkeypatch.setattr(pairstab, "weight_polytope", broken)
+    assert run(["polytope", "--poly", "disc:2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: planted internal fault")
+    assert "Traceback" not in err

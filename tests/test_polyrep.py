@@ -142,6 +142,70 @@ def test_act_permutation_covariance_on_support():
     assert moved == expected
 
 
+def random_patterned(rng, rows, cols):
+    """Terms of one total degree split over the rows in up to two row-degree
+    patterns (rows of degree 0 included), with int and Fraction coefficients."""
+    total = int(rng.integers(0, 5))
+    patterns = [tuple(int(x) for x in rng.multinomial(total, np.ones(rows) / rows))
+                for _ in range(2)]
+    terms = {}
+    for _ in range(int(rng.integers(1, 7))):
+        pattern = patterns[int(rng.integers(0, 2))]
+        exps = tuple(tuple(int(x) for x in rng.multinomial(d, np.ones(cols) / cols))
+                     for d in pattern)
+        num = int(rng.integers(1, 6)) * (1 if rng.integers(0, 2) else -1)
+        terms[exps] = num if rng.integers(0, 2) else Fraction(num, int(rng.integers(2, 7)))
+    return SparsePolynomial(MatrixShape(rows, cols), terms)
+
+
+def shear_pair(rng, n, steps=6):
+    """A unimodular integer matrix and its exact inverse, as products of shears."""
+    g = h = GroupElement.identity(n)
+    for _ in range(steps):
+        i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+        k = int(rng.integers(1, 3)) * (1 if rng.integers(0, 2) else -1)
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        f = [row[:] for row in e]
+        e[i][j], f[i][j] = k, -k
+        g, h = g @ GroupElement(tuple(map(tuple, e))), GroupElement(tuple(map(tuple, f))) @ h
+    return g, h
+
+
+def exact_product(a, g):
+    n = len(g)
+    return [[sum(row[k] * g[k][j] for k in range(n)) for j in range(n)] for row in a]
+
+
+def test_act_against_substitution_on_random_pairs():
+    # the oracle substitutes A . sigma into P; it never calls act
+    rng = np.random.default_rng(606)
+    cancelled = 0
+    for _ in range(500):
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        p = random_patterned(rng, rows, cols)
+        g, g_inv = shear_pair(rng, cols)
+        a = [[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))) for _ in range(cols)]
+             for _ in range(rows)]
+        moved = act(g, p)
+        assert moved.has_exact_coefficients() and moved.degree == p.degree
+        assert moved.evaluate_exact(a) == p.evaluate_exact(exact_product(a, g.entries))
+        # composition, and the exact cancellation back to P
+        s, _ = shear_pair(rng, cols, steps=3)
+        assert act(s, moved) == act(s @ g, p)
+        back = act(g_inv, moved)
+        assert back == p
+        cancelled += len(moved.terms) > len(p.terms)
+        # complex sigma, against evaluation at A . sigma
+        m = rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols))
+        x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        lhs = act(GroupElement.from_matrix(m), p).evaluate_batch(x[None])[0]
+        rhs = p.evaluate_batch((x @ m)[None])[0]
+        size = SparsePolynomial(p.shape, {e: abs(c) for e, c in p.terms.items()})
+        scale = size.evaluate_batch((abs(x) @ abs(m))[None])[0].real
+        assert abs(lhs - rhs) <= 1e-12 * scale
+    assert cancelled > 200
+
+
 def test_act_shape_checks():
     with pytest.raises(ValueError):
         act(GroupElement.identity(2), disc2())
@@ -298,6 +362,20 @@ def test_json_roundtrip():
     p = disc2()
     q = poly_from_json(poly_to_json(p))
     assert q == p
+
+
+def test_json_keeps_rational_coefficients_exact():
+    shape = MatrixShape(1, 3)
+    p = SparsePolynomial(shape, {((1, 1, 0),): Fraction(1, 3), ((0, 0, 2),): Fraction(-7, 4),
+                                 ((2, 0, 0),): Fraction(6, 3), ((0, 2, 0),): 5})
+    text = poly_to_json(p)
+    assert '"q": "1/3"' in text and '"q": "-7/4"' in text
+    q = poly_from_json(text)
+    assert q == p and q.terms[((1, 1, 0),)] == Fraction(1, 3)
+    assert q.has_exact_coefficients()
+    # integer coefficients keep the re/im encoding
+    assert poly_to_json(disc2()) == poly_to_json(poly_from_json(poly_to_json(disc2())))
+    assert '"re": 2.0, "im": 0.0' in text
 
 
 def test_json_schema_fields():
