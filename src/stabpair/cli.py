@@ -141,12 +141,11 @@ def parse_sigma_spec(spec: str, ambient: int) -> GroupElement:
         elif spec.startswith("ray:"):
             lam_text, _, t_text = spec[4:].rpartition(":")
             lam = OnePSG(tuple(int(x) for x in lam_text.split(",")))
-            sigma = GroupElement.from_matrix(lam.matrix(float(t_text)))
+            sigma = GroupElement(lam.matrix(float(t_text)))
         else:
             data = json.loads(path.read_text(encoding="utf-8"))
-            sigma = GroupElement.from_matrix(np.array(
-                [[complex(*e) if isinstance(e, list) else complex(e) for e in row]
-                 for row in data]))
+            sigma = GroupElement([[complex(*e) if isinstance(e, list) else complex(e)
+                                   for e in row] for row in data])
     except (ValueError, TypeError, ArithmeticError) as exc:
         raise CLIUsageError(f"bad sigma spec {spec!r}: {exc}") from exc
     if sigma.size != ambient:

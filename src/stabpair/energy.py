@@ -39,8 +39,11 @@ from .polyrep import (
     SparsePolynomial,
     TorusCharacter,
     _column_degrees,
+    _complex,
+    _group_element,
     _monomial_weight,
     act,
+    exact_gaussian_norm_sq,
 )
 
 __all__ = [
@@ -76,8 +79,6 @@ def gaussian_norm_sq(p: AnyPolynomial, samples: int = 200_000, seed=0) -> float:
         raise ValueError("formal powers have log-norms only; "
                          "use log_gaussian_norm_sq")
     if isinstance(p, SparsePolynomial):
-        from .polyrep import exact_gaussian_norm_sq
-
         return float(exact_gaussian_norm_sq(p))
     return igusa.mc_moment(p, 1.0, samples=samples, seed=seed).mean
 
@@ -156,7 +157,7 @@ def _components(sigma: GroupElement, v: AnyPolynomial, w: Optional[AnyPolynomial
     w_ratio = None if w is None else _log_norm_ratio(w, sigma, samples, seed, w_norm)
     trace_term = None
     if ambient is not None:
-        m = sigma.matrix
+        m = _complex(sigma)
         trace_term = math.log(float(np.real(np.trace(m @ m.conj().T))) / ambient)
     return w_ratio, _log_norm_ratio(v, sigma, samples, seed, v_norm), trace_term
 
@@ -185,12 +186,6 @@ def _energies(components: tuple, degree: Optional[int] = None) -> tuple:
     return nu, j
 
 
-def _as_element(sigma) -> GroupElement:
-    if isinstance(sigma, GroupElement):
-        return sigma
-    return GroupElement.from_matrix(np.asarray(sigma))
-
-
 @dataclass
 class EnergyReport:
     sigma: GroupElement
@@ -204,7 +199,7 @@ def nu_pair(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
     """nu(sigma) for the pair; exact for sparse data, sampled for black boxes.
     `base_log_norms` are log ||w||^2 and log ||v||^2 (of the bases of formal
     powers), when already known."""
-    parts = _components(_as_element(sigma), pair.v, pair.w, samples=samples, seed=seed,
+    parts = _components(_group_element(sigma), pair.v, pair.w, samples=samples, seed=seed,
                         base_log_norms=base_log_norms)
     return _energies(parts)[0]
 
@@ -217,13 +212,13 @@ def j_aubin(v: AnyPolynomial, sigma: Union[GroupElement, np.ndarray],
         degree = module_degree(v)
     if ambient is None:
         ambient = v.shape.cols
-    parts = _components(_as_element(sigma), v, ambient=ambient, samples=samples, seed=seed)
+    parts = _components(_group_element(sigma), v, ambient=ambient, samples=samples, seed=seed)
     return _energies(parts, degree)[1]
 
 
 def energy_report(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
                   samples: int = 200_000, seed=0) -> EnergyReport:
-    sigma = _as_element(sigma)
+    sigma = _group_element(sigma)
     parts = _components(sigma, pair.v, pair.w, pair.ambient, samples, seed)
     nu, j = _energies(parts, pair.degree_v)
     return EnergyReport(sigma=sigma, nu=nu, j=j, components=parts)
@@ -294,11 +289,11 @@ def properness_probe(pair: PairSpec, epsilon: float, b: float,
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             q = np.linalg.qr(g)[0]
             sigma_mat = q @ lam.matrix(t) @ q.conj().T
-            sigma = GroupElement.from_matrix(sigma_mat)
+            sigma = GroupElement(sigma_mat)
             nu, j = _energies(_components(sigma, pair.v, pair.w, n), pair.degree_v)
         else:
             t = 10.0 ** rng.uniform(-decades, -0.3)
-            sigma = GroupElement.from_matrix(lam.matrix(t))
+            sigma = GroupElement(lam.matrix(t))
             nu, j = (float(x[0]) for x in _pair_along_ray(pair, lam, [t]))
         count += 1
         margin = nu - epsilon * j - b
@@ -378,8 +373,7 @@ def nu_infimum(pair: PairSpec, restarts: int = 20, seed=0,
 
     def objective(params):
         try:
-            return nu_pair(pair, GroupElement.from_matrix(build(params)),
-                           base_log_norms=norms)
+            return nu_pair(pair, build(params), base_log_norms=norms)
         except (ValueError, OverflowError):
             return math.inf
 
@@ -391,7 +385,7 @@ def nu_infimum(pair: PairSpec, restarts: int = 20, seed=0,
         if res.fun < best_val:
             best_val = float(res.fun)
             best_params = res.x
-    return best_val, GroupElement.from_matrix(build(best_params))
+    return best_val, GroupElement(build(best_params))
 
 
 @dataclass
@@ -437,8 +431,8 @@ def orbit_distance(pair: PairSpec, restarts: int = 30, seed=0,
             return _su2(params[:3]) @ _sl2_upper(params[3:6])
 
     def overlap(params):
-        s1 = GroupElement.from_matrix(build1(params[:dim1]))
-        s2 = GroupElement.from_matrix(build2(params[dim1:]))
+        s1 = GroupElement(build1(params[:dim1]))
+        s2 = GroupElement(build2(params[dim1:]))
         v1 = act(s1, v)
         w1 = act(s1, w)
         v2 = act(s2, v)

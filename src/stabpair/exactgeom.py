@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -25,7 +24,6 @@ LatticePoint = tuple  # tuple[Fraction, ...]; fixed length within one context
 
 __all__ = [
     "LatticePoint",
-    "LinearFunctional",
     "LatticePolytope",
     "convex_hull",
     "contains",
@@ -40,31 +38,6 @@ __all__ = [
 def as_point(coords: Iterable) -> LatticePoint:
     """Coerce a sequence of numbers to an exact rational point."""
     return tuple(Fraction(c) for c in coords)
-
-
-@dataclass(frozen=True)
-class LinearFunctional:
-    """Integer linear functional with coefficients summing to zero.
-
-    These are the functionals induced by algebraic one-parameter subgroups
-    of the special linear group, which live in the sum-zero lattice.
-    """
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
-        if any(c != orig for c, orig in zip(coeffs, self.coefficients)):
-            raise ValueError("functional coefficients must be integers")
-        if sum(coeffs) != 0:
-            raise ValueError("functional coefficients must sum to zero")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __call__(self, point: Sequence) -> Fraction:
-        if len(point) != len(self.coefficients):
-            raise ValueError("dimension mismatch between functional and point")
-        return sum((Fraction(x) * c for x, c in zip(point, self.coefficients)),
-                   Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +306,9 @@ def dilate(p: LatticePolytope, k) -> LatticePolytope:
                            _known_extreme=True)
 
 
-def support_min(p: LatticePolytope, functional) -> Fraction:
-    """Exact minimum of the functional over the polytope (attained at a vertex)."""
-    coeffs = functional.coefficients if isinstance(functional, LinearFunctional) else functional
+def support_min(p: LatticePolytope, coeffs: Sequence) -> Fraction:
+    """Exact minimum of the linear functional with these coefficients over the
+    polytope (attained at a vertex)."""
     if len(coeffs) != p.dim:
         raise ValueError("dimension mismatch between functional and polytope")
     return min(_dot(coeffs, v) for v in p.vertices)

@@ -265,7 +265,7 @@ def module_degree(p: AnyPolynomial, generic: bool = False) -> int:
 
 def stable_search(pair: PairSpec, q: int, m_max: int = 50,
                   scheme: str = "m:m+1", probe_trials: int = 0,
-                  rng_seed=0, conjugators: Optional[list] = None) -> Optional[int]:
+                  rng_seed=0) -> Optional[int]:
     """Smallest twist exponent m making the identity-padded pair semistable.
 
     scheme "m:m+1" tests q*Q + m*N(v) <= (m+1)*N(w); scheme "m-1:m" tests
@@ -273,9 +273,9 @@ def stable_search(pair: PairSpec, q: int, m_max: int = 50,
     appear in the source definitions and are kept behind this flag rather
     than reconciled.  The sweep is linear in m because the criterion is not
     monotone in m a priori.  Each diagonal success is cross-checked on
-    conjugate tori (random integer ones with probe_trials > 0, or the
-    explicit `conjugators`) and rejected on any failure; the identity
-    simplex factor is torus-independent, so only the pair polytopes move.
+    conjugate tori (probe_trials random integer ones) and rejected on any
+    failure; the identity simplex factor is torus-independent, so only the
+    pair polytopes move.
     """
     if q < 1:
         raise ValueError("identity padding exponent q must be >= 1")
@@ -283,12 +283,8 @@ def stable_search(pair: PairSpec, q: int, m_max: int = 50,
         raise ValueError(f"unknown exponent scheme {scheme!r}")
     qn = simplex_qn(pair.ambient)
 
-    if conjugators is None:
-        conjugators = []
-        if probe_trials:
-            seeds = np.random.SeedSequence(rng_seed).spawn(probe_trials)
-            conjugators = [random_unimodular(pair.ambient, np.random.default_rng(s))
-                           for s in seeds]
+    seeds = np.random.SeedSequence(rng_seed).spawn(probe_trials)
+    conjugators = [random_unimodular(pair.ambient, np.random.default_rng(s)) for s in seeds]
 
     def criterion(wp_v: LatticePolytope, wp_w: LatticePolytope, m: int) -> bool:
         if scheme == "m:m+1":

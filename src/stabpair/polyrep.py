@@ -16,9 +16,10 @@ sharing a row-degree pattern (d_1, ..., d_k) form a dense coefficient
 tensor in Sym^{d_1} (x) ... (x) Sym^{d_k} on a fixed monomial basis per
 degree, and sigma maps it by one mode product per row with the matrix
 S_d(sigma) of x^a -> prod_l (sum_k sigma[k, l] x_k)^{a_l}, built by the
-degree recursion on the columns the input uses.  Exact group elements on
-exact coefficients run on Python int / Fraction objects, anything else in
-complex128.
+degree recursion on the columns the input uses.  A group element is one
+read-only matrix: an object array when every entry is a Python int or
+Fraction, complex128 otherwise.  Exact group elements on exact
+coefficients run on those objects, anything else in complex128.
 
 Large resultants and hyperdiscriminants are never expanded; they enter as
 black-box polynomials (one evaluator mapping a (count, rows, cols) stack to
@@ -35,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -113,13 +114,16 @@ class TorusCharacter:
 class OnePSG:
     """Algebraic one-parameter subgroup of the diagonal torus of SL(N+1).
 
-    Identified with its integer exponent vector, which sums to zero.
+    Identified with its integer exponent vector, which sums to zero; it is
+    also the sum-zero integer functional that weights pair characters with.
     """
 
     exponents: tuple
 
     def __post_init__(self):
         exps = tuple(int(e) for e in self.exponents)
+        if exps != tuple(self.exponents):
+            raise ValueError("one-parameter subgroup exponents must be integers")
         if sum(exps) != 0:
             raise ValueError("one-parameter subgroup exponents must sum to zero")
         object.__setattr__(self, "exponents", exps)
@@ -303,43 +307,45 @@ class SparsePolynomial:
         return self._term_sum(rows, Fraction(0), Fraction)
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """Invertible (N+1) x (N+1) matrix with a cached determinant.
+    """Invertible square matrix, stored once as the read-only array `matrix`.
 
-    The original entries are kept verbatim so that integer / rational group
-    elements substitute exactly into polynomials; `matrix` is the complex
-    working copy, made on first use and read-only.
+    The dtype is `object` when every entry is a Python int or Fraction; the
+    entries are then kept as they are, so exact group elements substitute
+    exactly into polynomials.  Any other input (Python floats, numpy
+    numeric arrays) is stored as complex128.  `det` is exact (a Fraction)
+    for exact elements.
     """
 
-    entries: tuple
+    __slots__ = ("matrix", "det")
 
-    def __post_init__(self):
-        rows = tuple(tuple(e for e in row) for row in self.entries)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+    def __init__(self, matrix):
+        # a numpy array keeps its dtype; nested sequences keep their objects
+        arr = np.array(matrix, dtype=None if isinstance(matrix, np.ndarray) else object)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("group element must be square")
-        object.__setattr__(self, "entries", rows)
-        exact = all(_is_exact(e) for row in rows for e in row)
-        object.__setattr__(self, "is_exact", exact)
-        if exact:
-            det = _rref(rows, n)[2]
+        if arr.dtype == object and all(map(_is_exact, arr.flat)):
+            det = _rref(arr, len(arr))[2]
         else:
-            det = complex(np.linalg.det(self.matrix))
+            arr = arr.astype(complex, copy=False)
+            det = complex(np.linalg.det(arr))
         if det == 0:
             raise ValueError("singular matrix is not a group element")
-        object.__setattr__(self, "det", det)
+        arr.flags.writeable = False
+        self.matrix, self.det = arr, det
+
+    @property
+    def is_exact(self) -> bool:
+        return self.matrix.dtype == object
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.matrix)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        matrix = np.array([[complex(e) for e in row] for row in self.entries],
-                          dtype=complex)
-        matrix.flags.writeable = False
-        return matrix
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples: the original int / Fraction objects when exact."""
+        return tuple(map(tuple, self.matrix.tolist()))
 
     @staticmethod
     def identity(n: int) -> "GroupElement":
@@ -348,25 +354,24 @@ class GroupElement:
     @staticmethod
     def diagonal(diag: Sequence) -> "GroupElement":
         n = len(diag)
-        return GroupElement(tuple(tuple(diag[i] if i == j else 0 for j in range(n))
-                                  for i in range(n)))
-
-    @staticmethod
-    def from_matrix(mat) -> "GroupElement":
-        arr = np.asarray(mat)
-        return GroupElement(tuple(tuple(arr[i, j] for j in range(arr.shape[1]))
-                                  for i in range(arr.shape[0])))
+        return GroupElement([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        n = self.size
-        if other.size != n:
+        if other.size != self.size:
             raise ValueError("size mismatch")
         if self.is_exact and other.is_exact:
-            prod = tuple(tuple(sum(self.entries[i][k] * other.entries[k][j]
-                                   for k in range(n)) for j in range(n))
-                         for i in range(n))
-            return GroupElement(prod)
-        return GroupElement.from_matrix(self.matrix @ other.matrix)
+            return GroupElement(self.matrix @ other.matrix)
+        return GroupElement(_complex(self) @ _complex(other))
+
+
+def _complex(sigma: GroupElement) -> np.ndarray:
+    """The complex128 matrix of sigma (a converted copy when sigma is exact)."""
+    return np.asarray(sigma.matrix, dtype=complex)
+
+
+def _group_element(sigma) -> GroupElement:
+    """sigma itself if a GroupElement, else the GroupElement of that matrix."""
+    return sigma if isinstance(sigma, GroupElement) else GroupElement(sigma)
 
 
 @dataclass
@@ -512,20 +517,19 @@ def act(sigma: Union[GroupElement, np.ndarray, Sequence], p: AnyPolynomial):
     Exact when both the group element and the coefficients are exact;
     composes as act(s1, act(s2, P)) = act(s1 @ s2, P).
     """
-    if not isinstance(sigma, GroupElement):
-        sigma = GroupElement.from_matrix(np.asarray(sigma))
+    sigma = _group_element(sigma)
     if isinstance(p, FormalPower):
         return FormalPower(act(sigma, p.base), p.exponent)
     if sigma.size != p.shape.cols:
         raise ValueError("group element size must match the column count")
     if isinstance(p, BlackBoxPolynomial):
-        mat, base = sigma.matrix, p.evaluator
+        mat, base = _complex(sigma), p.evaluator
         return BlackBoxPolynomial(shape=p.shape, degree=p.degree,
                                   evaluator=lambda b: base(b @ mat),
                                   name=f"{p.name}.acted", check_samples=0)
     if sigma.is_exact and p.has_exact_coefficients():
-        return _substitute(np.array(sigma.entries, dtype=object), p, object)
-    return _substitute(sigma.matrix, p, complex)
+        return _substitute(sigma.matrix, p, object)
+    return _substitute(_complex(sigma), p, complex)
 
 
 @lru_cache(maxsize=None)
@@ -668,7 +672,7 @@ def random_unimodular(n: int, rng_seed=0, steps: int = 12, bound: int = 2) -> Gr
         k = int(rng.integers(1, bound + 1)) * (1 if rng.integers(0, 2) else -1)
         # row_i += k * row_j
         mat[i] = [a + k * b for a, b in zip(mat[i], mat[j])]
-    return GroupElement(tuple(tuple(row) for row in mat))
+    return GroupElement(mat)
 
 
 def _monomial_weight(exps) -> int:

@@ -210,12 +210,13 @@ def rnc_hyperdiscriminant(d: int) -> Union[SparsePolynomial, BlackBoxPolynomial]
         lead = raw.terms[sorted(raw.terms)[0]]
         return raw if lead == 1 else raw * Fraction(1, lead)
 
+    # the partials of the all-ones form are the weights d - j and j + 1;
+    # multiplying whole columns keeps to two (batch, d) arrays
+    ws, wt = _derivative_coeffs([1] * (d + 1), d)
+
     def batch_eval(batch: np.ndarray) -> np.ndarray:
         a = batch[:, 0, :]
-        j = np.arange(d)
-        fs = a[:, :d] * (d - j)
-        ft = a[:, 1:] * (j + 1)
-        return _numeric_sylvester_det(fs, ft)
+        return _numeric_sylvester_det(a[:, :d] * ws, a[:, 1:] * wt)
 
     return BlackBoxPolynomial(shape=shape, degree=2 * d - 2, evaluator=batch_eval,
                               name=f"rnc-hyperdiscriminant-{d}")

@@ -310,7 +310,7 @@ def test_criterion_9_invariance_suite():
     proj_ok = True
     for _ in range(5):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sigma = GroupElement.from_matrix(m / np.linalg.det(m) ** (1 / 3))
+        sigma = GroupElement(m / np.linalg.det(m) ** (1 / 3))
         proj_ok = proj_ok and abs(energy.nu_pair(pair1, sigma)
                                   - energy.nu_pair(pair2, sigma)) < 1e-9
     checks["nu-projective"] = proj_ok

@@ -101,7 +101,7 @@ def test_nu_projective_invariance():
     rng = np.random.default_rng(5)
     for _ in range(5):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sigma = GroupElement.from_matrix(m / np.linalg.det(m) ** (1 / 3))
+        sigma = GroupElement(m / np.linalg.det(m) ** (1 / 3))
         assert nu_pair(pair1, sigma) == pytest.approx(nu_pair(pair2, sigma), abs=1e-9)
 
 
@@ -121,7 +121,7 @@ def test_nu_unitary_invariance():
     for _ in range(5):
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u = np.linalg.qr(g)[0]
-        assert abs(nu_pair(pair, GroupElement.from_matrix(u))) < 1e-8
+        assert abs(nu_pair(pair, GroupElement(u))) < 1e-8
 
 
 def test_nu_blackbox_pair_matches_sparse():
@@ -210,7 +210,7 @@ def test_nu_along_ray_matches_direct_action():
                  PairSpec.of(FormalPower(rnc_resultant(2), 2),
                              FormalPower(rnc_hyperdiscriminant(2), 2))):
         for t in (0.5, 0.1):
-            direct = nu_pair(pair, GroupElement.from_matrix(lam.matrix(t)))
+            direct = nu_pair(pair, GroupElement(lam.matrix(t)))
             stable = float(nu_along_ray(pair, lam, [t])[0])
             assert direct == pytest.approx(stable, abs=1e-9)
 
@@ -252,7 +252,7 @@ def test_j_along_ray_matches_direct():
     lam = OnePSG((2, -1, -1))
     t = 0.2
     for v in (disc2(), FormalPower(rnc_resultant(2), 2)):
-        direct = j_aubin(v, GroupElement.from_matrix(lam.matrix(t)))
+        direct = j_aubin(v, GroupElement(lam.matrix(t)))
         stable = float(j_along_ray(v, lam, [t])[0])
         assert direct == pytest.approx(stable, abs=1e-9)
 

@@ -7,7 +7,6 @@ import pytest
 
 from stabpair.exactgeom import (
     LatticePolytope,
-    LinearFunctional,
     as_point,
     contains,
     convex_hull,
@@ -18,6 +17,7 @@ from stabpair.exactgeom import (
     support_min,
 )
 from stabpair.exactgeom import _point_in_hull
+from stabpair.polyrep import OnePSG
 
 F = Fraction
 
@@ -167,11 +167,13 @@ def test_dilate_simplex_vertices():
 
 def test_support_min_examples():
     origin = convex_hull([(0, 0)])
-    assert support_min(origin, LinearFunctional((1, -1))) == 0
+    assert support_min(origin, (1, -1)) == 0
     seg = convex_hull([(1, -1), (-1, 1)])
-    assert support_min(seg, LinearFunctional((1, -1))) == -2
+    assert support_min(seg, (1, -1)) == -2
     disc_support = convex_hull([(0, 2, 0), (1, 0, 1)])
-    assert support_min(disc_support, LinearFunctional((1, 0, -1))) == 0
+    assert support_min(disc_support, OnePSG((1, 0, -1)).exponents) == 0
+    with pytest.raises(ValueError):
+        support_min(seg, (1, 0, -1))
 
 
 def test_support_min_matches_raw_minimum_random():
@@ -181,16 +183,19 @@ def test_support_min_matches_raw_minimum_random():
         pts = random_points(rng, dim, int(rng.integers(1, 10)))
         lam = [int(x) for x in rng.integers(-3, 4, size=dim)]
         lam[-1] -= sum(lam)
-        f = LinearFunctional(tuple(lam))
         hull = convex_hull(pts)
-        assert support_min(hull, f) == min(f(p) for p in pts)
+        assert support_min(hull, lam) == min(sum(x * c for x, c in zip(p, lam)) for p in pts)
 
 
 def test_linear_functional_validation():
+    # the sum-zero integer functionals are the one-parameter subgroups
     with pytest.raises(ValueError):
-        LinearFunctional((1, 1))
+        OnePSG((1, 1))
     with pytest.raises(ValueError):
-        LinearFunctional((F(1, 2), F(-1, 2)))
+        OnePSG((F(1, 2), F(-1, 2)))
+    with pytest.raises(ValueError):
+        OnePSG((1.9, -1.9))
+    assert OnePSG((F(2), 0, -2.0)).exponents == (2, 0, -2)
 
 
 # -- halfspaces & serialization -------------------------------------------------

@@ -114,6 +114,12 @@ def test_ops_weight_rejects_non_sum_zero():
         ops_weight(disc2(), OnePSG((1, 0, 0)))
 
 
+def test_ops_weight_rejects_non_integer_exponents():
+    # (1.9, 0, -1.9) used to truncate silently to (1, 0, -1)
+    with pytest.raises(ValueError):
+        ops_weight(disc2(), (1.9, 0, -1.9))
+
+
 def test_ops_weight_equals_projected_support_min():
     rng = np.random.default_rng(31)
     for _ in range(30):
@@ -330,11 +336,12 @@ def test_stable_search_obstruction_never_clears():
     assert stable_search(pair, q=1, m_max=25) is None
 
 
-def test_stable_search_conjugate_cross_check_rejects():
+def test_stable_search_conjugate_cross_check_rejects(monkeypatch):
     # w = (z0 - z1)(z0 + 2 z1): on the diagonal torus its polytope is the
     # full segment, so q=1 passes at m=1; the integer shear [[1,0],[1,1]]
     # kills the z1^2 monomial (w(1,1) = 0), leaving a half segment that can
     # never absorb the symmetric simplex summand
+    from stabpair import pairstab
     from stabpair.polyrep import GroupElement
 
     v = constant(MatrixShape(1, 2), 1)
@@ -344,7 +351,9 @@ def test_stable_search_conjugate_cross_check_rejects():
     assert stable_search(pair, q=1, m_max=10) == 1
     shear = GroupElement(((1, 0), (1, 1)))
     assert act(shear, w).terms == {((2, 0),): 1, ((1, 1),): 3}  # z1^2 gone
-    assert stable_search(pair, q=1, m_max=10, conjugators=[shear]) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(pairstab, "random_unimodular", lambda n, rng: shear)
+        assert stable_search(pair, q=1, m_max=10, probe_trials=1) is None
     # the pair itself stays semistable (0 remains a boundary point)
     verdict = semistable_probe(pair, trials=20, rng_seed=8)
     assert verdict.status == CERTIFIED

@@ -123,9 +123,8 @@ def test_act_composition_law_float_matrices():
         p = random_sparse(rng, 1, 3, 3, 4)
         m1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         m2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        left = act(GroupElement.from_matrix(m1),
-                   act(GroupElement.from_matrix(m2), p))
-        right = act(GroupElement.from_matrix(m1 @ m2), p)
+        left = act(GroupElement(m1), act(GroupElement(m2), p))
+        right = act(GroupElement(m1 @ m2), p)
         assert set(left.terms) == set(right.terms)
         for exps, c in right.terms.items():
             assert abs(left.terms[exps] - c) <= 1e-10 * max(1.0, abs(c))
@@ -167,7 +166,7 @@ def shear_pair(rng, n, steps=6):
         e = [[int(r == c) for c in range(n)] for r in range(n)]
         f = [row[:] for row in e]
         e[i][j], f[i][j] = k, -k
-        g, h = g @ GroupElement(tuple(map(tuple, e))), GroupElement(tuple(map(tuple, f))) @ h
+        g, h = g @ GroupElement(e), GroupElement(f) @ h
     return g, h
 
 
@@ -198,7 +197,7 @@ def test_act_against_substitution_on_random_pairs():
         # complex sigma, against evaluation at A . sigma
         m = rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols))
         x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        lhs = act(GroupElement.from_matrix(m), p).evaluate_batch(x[None])[0]
+        lhs = act(GroupElement(m), p).evaluate_batch(x[None])[0]
         rhs = p.evaluate_batch((x @ m)[None])[0]
         size = SparsePolynomial(p.shape, {e: abs(c) for e, c in p.terms.items()})
         scale = size.evaluate_batch((abs(x) @ abs(m))[None])[0].real
@@ -223,6 +222,56 @@ def test_act_exactness_with_unimodular_element():
     assert swap.is_exact and swap.det == -1 and isinstance(swap.det, Fraction)
     with pytest.raises(ValueError):
         GroupElement(((1, 2), (2, 4)))
+
+
+def test_group_element_dtype_follows_entries():
+    exact = GroupElement(((1, Fraction(1, 2)), (0, 2)))
+    assert exact.is_exact and exact.matrix.dtype == object
+    assert exact.det == 2 and isinstance(exact.det, Fraction)
+    assert exact.entries == ((1, Fraction(1, 2)), (0, 2))
+    assert [type(e) for row in exact.entries for e in row] == [int, Fraction, int, int]
+    assert not exact.matrix.flags.writeable
+    floats = (((1.0, 0.5), (0, 2)), np.array([[1, 1], [0, 2]]), np.array([[1j, 0], [0, 2]]))
+    for raw in floats:
+        g = GroupElement(raw)
+        assert not g.is_exact and g.matrix.dtype == complex
+        assert np.array_equal(g.matrix, np.asarray(raw, dtype=complex))
+        assert g.det == complex(np.linalg.det(np.asarray(raw, dtype=complex)))
+        assert not g.matrix.flags.writeable
+    m = np.eye(2)
+    g = GroupElement(m)
+    m[0, 0] = 5.0  # the element holds its own copy
+    assert g.matrix[0, 0] == 1
+
+
+def test_group_element_products():
+    a = GroupElement(((1, 2), (0, 1)))
+    b = GroupElement(((1, 0), (Fraction(1, 3), 1)))
+    prod = a @ b
+    assert prod.is_exact
+    assert prod.entries == ((Fraction(5, 3), 2), (Fraction(1, 3), 1))
+    rng = np.random.default_rng(12)
+    m1, m2 = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+    assert np.array_equal((GroupElement(m1) @ GroupElement(m2)).matrix, m1 @ m2)
+    mixed = a @ GroupElement(m2)
+    assert not mixed.is_exact
+    assert np.array_equal(mixed.matrix, np.array([[1, 2], [0, 1]], dtype=complex) @ m2)
+    with pytest.raises(ValueError):
+        a @ GroupElement.identity(3)
+
+
+def test_act_on_raw_arrays():
+    with pytest.raises(ValueError):
+        act(np.ones((3, 3)), disc2())  # singular
+    with pytest.raises(ValueError):
+        act(np.ones((3, 2)), disc2())  # not square
+    with pytest.raises(ValueError):
+        act([[1, 0, 0], [0, 1]], disc2())  # ragged
+    rng = np.random.default_rng(13)
+    p = random_sparse(rng, 1, 3, 3, 4)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert act(GroupElement(m), p) == act(m, p)
+    assert act(((0, 1, 0), (1, 0, 0), (0, 0, 1)), p).has_exact_coefficients()
 
 
 # -- evaluation -------------------------------------------------------------------
