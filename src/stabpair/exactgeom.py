@@ -1,11 +1,14 @@
 """Exact rational polytope kernel for weight-polytope computations.
 
-Everything in this module runs on `fractions.Fraction`: hulls, halfspace
-descriptions, containment, Minkowski sums and support minima are all exact.
-Containment verdicts feed stability certificates, so there is no floating
-point and no epsilon anywhere in this module.
+Everything in this module runs on `fractions.Fraction` and Python ints:
+hulls, halfspace descriptions, containment, Minkowski sums and support
+minima are all exact.  Containment verdicts feed stability certificates, so
+there is no floating point and no epsilon anywhere in this module.
 
-Points are plain tuples of Fractions.  Polytopes may be degenerate
+Points are plain tuples of Fractions.  A polytope keeps its generating
+points and finds its vertices only when its vertices or facets are read;
+vertices come from an exact prefilter (lexicographically first minimizers of
+fixed directions) with LPs for the rest.  Polytopes may be degenerate
 (lower-dimensional); the halfspace description then carries equality
 constraints cutting out the affine hull alongside the facet inequalities.
 Dimensions stay small (<= ~8), which keeps direct facet enumeration and a
@@ -59,7 +62,7 @@ def _pivot(rows: list, r: int, col: int) -> None:
     for i, row in enumerate(rows):
         f = row[col]
         if i != r and f != 0:
-            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+            rows[i] = [a - f * b if b else a for a, b in zip(row, rows[r])]
 
 
 def _rref(rows: Sequence, ncols: int):
@@ -171,29 +174,39 @@ def _point_in_hull(point: Sequence, points: list) -> bool:
 # ---------------------------------------------------------------------------
 
 class LatticePolytope:
-    """Convex hull of finitely many rational points, stored by its vertex set.
+    """Convex hull of finitely many rational points.
 
-    `vertices` is the irredundant set of extreme points.  The halfspace
-    description (affine-hull equalities plus facet inequalities, both in
-    ambient coordinates) is derived lazily and cached; it defines exactly
-    the same set.  Instances are immutable and safe to share across threads.
+    Holds its deduplicated, sorted generators until `vertices` is first
+    read; the vertices then replace them, so memory does not grow.
+    `contains` (on its inner argument), `support_min`, `minkowski_sum` and
+    `dilate` are exact over any generating set and never hull; `vertices`,
+    `halfspaces()` (equalities of the affine hull plus facet inequalities,
+    in ambient coordinates), `==`, hashing and JSON do.  Both caches are
+    idempotent and either generating set is valid while one fills, so
+    instances are safe to share across threads.
     """
 
-    __slots__ = ("dim", "vertices", "_halfspaces")
+    __slots__ = ("dim", "_points", "_hulled", "_halfspaces")
 
-    def __init__(self, vertices: Sequence[LatticePoint], *, _known_extreme: bool = False):
-        pts = [as_point(p) for p in vertices]
+    def __init__(self, points: Sequence[LatticePoint], *, _known_extreme: bool = False):
+        pts = [as_point(p) for p in points]
         if not pts:
             raise ValueError("a polytope needs at least one point")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("mixed dimensions in point set")
-        pts = sorted(set(pts))
-        if not _known_extreme:
-            pts = _extreme_points(pts)
         self.dim = dim
-        self.vertices = tuple(pts)
+        self._points = tuple(sorted(set(pts)))
+        self._hulled = _known_extreme
         self._halfspaces = None
+
+    @property
+    def vertices(self) -> tuple:
+        """The extreme points, in sorted order; computed on first access."""
+        if not self._hulled:
+            self._points = tuple(_extreme_points(self._points))
+            self._hulled = True
+        return self._points
 
     # -- structure ---------------------------------------------------------
 
@@ -256,17 +269,31 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)})"
 
 
-def _extreme_points(points: list) -> list:
-    """Filter a deduplicated point list down to the extreme points (exact LPs)."""
-    cand = list(points)
-    i = 0
-    while i < len(cand):
-        others = cand[:i] + cand[i + 1:]
-        if others and _point_in_hull(cand[i], others):
-            cand.pop(i)
-        else:
-            i += 1
-    return cand
+def _extreme_points(points: Sequence) -> list:
+    """The extreme points of a sorted, deduplicated point list, in its order.
+
+    The lexicographically first minimizer of a linear functional is a
+    vertex, so the fixed directions 0, ±2e_i and ±e_i ± e_j find vertices
+    without an LP.  Every other point gets one small LP against the vertices
+    known so far; only a point outside their hull gets the LP against all
+    remaining candidates, and a vertex that LP confirms becomes known.
+    Coordinates are scaled to integers by their common denominator.
+    """
+    n, dim = len(points), len(points[0])
+    scale = lcm(*(c.denominator for p in points for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+    signed = [tuple(s * (k == i) for k in range(dim)) for i in range(dim) for s in (1, -1)]
+    directions = {tuple(a + b for a, b in zip(u, w)) for u in signed for w in signed}
+    keep = [False] * n
+    for u in directions:
+        keep[min(range(n), key=lambda i: sum(a * b for a, b in zip(u, ints[i])))] = True
+    verts = [p for p, k in zip(ints, keep) if k]
+    for i in range(n):
+        if not (keep[i] or _point_in_hull(ints[i], verts) or _point_in_hull(
+                ints[i], verts + [ints[j] for j in range(i + 1, n) if not keep[j]])):
+            keep[i] = True
+            verts.append(ints[i])
+    return [p for p, k in zip(points, keep) if k]
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +311,15 @@ def contains(outer: LatticePolytope, inner: LatticePolytope) -> bool:
     """Closed containment inner <= outer, exact (boundary counts as inside)."""
     if outer.dim != inner.dim:
         raise ValueError("dimension mismatch between polytopes")
-    return all(outer.contains_point(v) for v in inner.vertices)
+    return all(outer.contains_point(v) for v in inner._points)
 
 
 def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
-    """Hull of pairwise vertex sums."""
+    """Hull of pairwise sums of generators."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch between polytopes")
     sums = [tuple(a + b for a, b in zip(u, v))
-            for u in p.vertices for v in q.vertices]
+            for u in p._points for v in q._points]
     return LatticePolytope(sums)
 
 
@@ -301,9 +328,10 @@ def dilate(p: LatticePolytope, k) -> LatticePolytope:
     k = Fraction(k)
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    # k = 0 collapses every vertex to the origin, which the constructor dedups
-    return LatticePolytope([tuple(k * c for c in v) for v in p.vertices],
-                           _known_extreme=True)
+    # k > 0 keeps vertices extreme and sorted; k = 0 collapses every point
+    # to the origin, which the constructor dedups
+    return LatticePolytope([tuple(k * c for c in v) for v in p._points],
+                           _known_extreme=p._hulled)
 
 
 def support_min(p: LatticePolytope, coeffs: Sequence) -> Fraction:
@@ -311,7 +339,7 @@ def support_min(p: LatticePolytope, coeffs: Sequence) -> Fraction:
     polytope (attained at a vertex)."""
     if len(coeffs) != p.dim:
         raise ValueError("dimension mismatch between functional and polytope")
-    return min(_dot(coeffs, v) for v in p.vertices)
+    return min(_dot(coeffs, v) for v in p._points)
 
 
 # ---------------------------------------------------------------------------

@@ -296,21 +296,18 @@ def stable_search(pair: PairSpec, q: int, m_max: int = 50,
             target = dilate(wp_w, m)
         return contains(target, source)
 
-    wp_v0 = weight_polytope(pair.v)
-    wp_w0 = weight_polytope(pair.w)
+    def polytopes(v, w):
+        wp_w = weight_polytope(w)
+        wp_w.vertices  # hull N(w) once: every dilate of it inherits the vertices
+        return weight_polytope(v), wp_w
+
+    wp_v0, wp_w0 = polytopes(pair.v, pair.w)
     acted = None
     for m in range(1, m_max + 1):
         if not criterion(wp_v0, wp_w0, m):
             continue
-        if conjugators:
-            if acted is None:
-                acted = [(_acted_pair(pair, g)) for g in conjugators]
-            ok = True
-            for v_g, w_g in acted:
-                if not criterion(weight_polytope(v_g), weight_polytope(w_g), m):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        return m
+        if acted is None:
+            acted = [polytopes(*_acted_pair(pair, g)) for g in conjugators]
+        if all(criterion(wp_v, wp_w, m) for wp_v, wp_w in acted):
+            return m
     return None

@@ -1,5 +1,7 @@
 """Exact polytope kernel: hulls, containment, Minkowski sums, support minima."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -231,3 +233,109 @@ def test_json_roundtrip():
     q = polytope_from_json(polytope_to_json(p))
     assert q == p
     assert '"dim": 3' in polytope_to_json(p)
+
+
+# -- lazy hulls and the vertex prefilter -------------------------------------------
+
+def _reference_extreme_points(points):
+    """Drop each point that lies in the hull of all the others."""
+    return [p for p in points if not _point_in_hull(p, [q for q in points if q != p])]
+
+
+def _differential_supports(rng, count):
+    """Random supports of dimension <= 4 and at most 16 points, degenerate ones included."""
+    for k in range(count):
+        dim = int(rng.integers(1, 5))
+        npts = int(rng.integers(1, 17 if k % 4 == 0 else 9))
+        kind = k % 5
+        if kind == 0:    # integer points, duplicates likely
+            pts = random_points(rng, dim, npts, lo=-2, hi=2)
+        elif kind == 1:  # rational coordinates
+            pts = [tuple(F(int(a), int(b)) for a, b in zip(rng.integers(-6, 7, size=dim),
+                                                           rng.integers(1, 4, size=dim)))
+                   for _ in range(npts)]
+        elif kind == 2:  # sum-zero, so lower-dimensional in dim + 1 coordinates
+            heads = random_points(rng, min(dim, 3), npts, lo=-3, hi=3)
+            pts = [h + (-sum(h),) for h in heads]
+        elif kind == 3:  # collinear, endpoints possibly repeated
+            base, step = rng.integers(-3, 4, size=dim), rng.integers(-2, 3, size=dim)
+            pts = [tuple(int(x) for x in base + t * step) for t in rng.integers(-3, 4, size=npts)]
+        else:            # a singleton, repeated
+            pts = random_points(rng, dim, 1) * int(rng.integers(1, 4))
+        yield pts
+
+
+def test_extreme_points_match_reference_filter():
+    # halfspaces() is a function of the vertex tuple; it is compared where it
+    # is cheap, since its subset scan grows as C(vertices, dim)
+    rng = np.random.default_rng(2024)
+    for raw in _differential_supports(rng, 1000):
+        want = _reference_extreme_points(sorted(set(as_point(p) for p in raw)))
+        hull = convex_hull(raw)
+        assert hull.vertices == tuple(want), raw
+        if len(want) <= 5:
+            reference = LatticePolytope(want, _known_extreme=True)
+            assert hull.halfspaces() == reference.halfspaces(), raw
+
+
+def test_lazy_operations_match_hulled(hull_inputs):
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        dim = int(rng.integers(1, 4))
+        pts_p, pts_q = (random_points(rng, dim, int(rng.integers(1, 7))) for _ in range(2))
+        lazy_p, lazy_q = convex_hull(pts_p), convex_hull(pts_q)
+        hull_p, hull_q = convex_hull(pts_p), convex_hull(pts_q)
+        assert hull_p.vertices and hull_q.vertices
+        del hull_inputs[:]
+        lam = [int(x) for x in rng.integers(-3, 4, size=dim)]
+        k = F(int(rng.integers(0, 4)), int(rng.integers(1, 3)))
+        assert support_min(lazy_p, lam) == support_min(hull_p, lam)
+        assert contains(hull_q, lazy_p) == contains(hull_q, hull_p)
+        assert contains(hull_p, lazy_q) == contains(hull_p, hull_q)
+        lazy_sum, lazy_dilate = minkowski_sum(lazy_p, lazy_q), dilate(lazy_p, k)
+        assert hull_inputs == []  # nothing above hulls a lazy polytope
+        assert lazy_sum == minkowski_sum(hull_p, hull_q)
+        assert lazy_dilate == dilate(hull_p, k)
+        assert lazy_p == hull_p and lazy_q == hull_q
+
+
+def test_dilate_of_hulled_polytope_stays_hull_free(hull_inputs):
+    p = convex_hull([(0, 0), (2, 0), (0, 2), (1, 1), (F(1, 2), F(1, 2))])
+    assert hull_inputs == []
+    assert len(p.vertices) == 3 and len(hull_inputs) == 1
+    big = dilate(p, 3)
+    big.halfspaces()
+    assert vset(big) == {tuple(3 * c for c in v) for v in p.vertices}
+    assert len(hull_inputs) == 1
+    assert len(dilate(convex_hull([(0, 0), (1, 1), (2, 2)]), 2).vertices) == 2
+    assert len(hull_inputs) == 2
+
+
+def test_lazy_hull_shared_across_threads():
+    # the vertex and halfspace caches fill without a lock: racing readers
+    # may each compute them, but every reader must see a valid state
+    rng = np.random.default_rng(31)
+    pts = random_points(rng, 3, 16)
+    want = convex_hull(pts)
+    probe = convex_hull(random_points(rng, 3, 6, lo=-2, hi=2))
+    expected = (want.vertices, want.halfspaces(), contains(want, probe), support_min(want, (1, 2, -3)))
+    shared = convex_hull(pts)
+    results, interval, start = [], sys.getswitchinterval(), threading.Barrier(4)
+
+    def read():
+        start.wait(timeout=60)
+        results.append((shared.vertices, shared.halfspaces(), contains(shared, probe),
+                        support_min(shared, (1, 2, -3))))
+
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    assert results == [expected] * 4

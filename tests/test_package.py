@@ -21,14 +21,28 @@ def test_every_export_resolves(name):
         assert hasattr(module, export), f"stabpair.{name}.__all__ names missing {export!r}"
 
 
-def test_cli_import_leaves_out_the_optimizer():
-    # scipy.optimize (the optimizers) and scipy.special (the gamma functions)
-    # are imported on first use, not at start-up
+def _loaded_after(code: str, modules: tuple) -> list:
+    """Which of `modules` a fresh interpreter has imported after running `code`."""
     env = dict(os.environ)
     src = str(Path(stabpair.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    lazy = ("scipy.optimize", "scipy.special")
-    code = f"import sys, stabpair.cli; print([m in sys.modules for m in {lazy!r}])"
+    code += f"\nimport sys; print(*[m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[False, False]"
+    return out.split()
+
+
+def test_cli_import_leaves_out_the_optimizer():
+    # scipy.optimize (the optimizers) and scipy.special (the gamma functions)
+    # are imported on first use, not at start-up
+    assert _loaded_after("import stabpair.cli", ("scipy.optimize", "scipy.special")) == []
+
+
+def test_exact_verdicts_leave_out_scipy_hulls_and_optimizers():
+    # the exact kernel needs neither Qhull nor an LP solver; importing
+    # scipy.spatial alone costs about 38 MB of resident memory
+    code = ("from stabpair import pairstab, varieties\n"
+            "pair = varieties.normalized_pair(varieties.rnc_example(2))\n"
+            "pairstab.semistable_probe(pair, trials=2)\n"
+            "pairstab.stable_search(pair, q=4, m_max=3, probe_trials=1)")
+    assert _loaded_after(code, ("scipy.spatial", "scipy.optimize")) == []

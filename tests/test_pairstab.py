@@ -289,6 +289,30 @@ def test_probe_stops_at_first_destabilizer(monkeypatch):
     assert len(calls) == 1
 
 
+def test_probe_trial_hulls_only_the_w_side(hull_inputs):
+    from stabpair import varieties
+    from stabpair.pairstab import _probe_trial
+
+    g = random_unimodular(3, np.random.default_rng(4))
+    certified = varieties.normalized_pair(varieties.rnc_example(2))
+    destabilized = PairSpec.of(disc2(), monomial(MatrixShape(1, 3), ((1, 1, 0),)))
+    for pair, want in ((certified, None), (destabilized, OnePSG)):
+        del hull_inputs[:]
+        lam = _probe_trial(pair, g)
+        assert lam is None if want is None else isinstance(lam, want)
+        assert hull_inputs == [weight_polytope(act(g, pair.w))._points]
+
+
+def test_probe_normalized_rnc4_certifies_a_conjugate_torus():
+    # P^1 is Kaehler-Einstein, so by Paul's theorem the normalized pair of
+    # the rational normal quartic is semistable on every maximal torus
+    from stabpair import varieties
+
+    pair = varieties.normalized_pair(varieties.rnc_example(4))
+    verdict = semistable_probe(pair, trials=2, rng_seed=0)
+    assert verdict.status == CERTIFIED and verdict.trials == 2
+
+
 # -- module degree ------------------------------------------------------------------
 
 def test_module_degree_examples():
@@ -357,6 +381,16 @@ def test_stable_search_conjugate_cross_check_rejects(monkeypatch):
     # the pair itself stays semistable (0 remains a boundary point)
     verdict = semistable_probe(pair, trials=20, rng_seed=8)
     assert verdict.status == CERTIFIED
+
+
+def test_stable_search_hulls_only_the_target(hull_inputs):
+    # N(v) and every Minkowski sum are read only through containment of their
+    # generators; N(w) is hulled once and each dilate of it inherits the vertices
+    from stabpair import varieties
+
+    pair = varieties.normalized_pair(varieties.rnc_example(3))
+    assert stable_search(pair, q=24, m_max=6) is None
+    assert hull_inputs == [weight_polytope(pair.w)._points]
 
 
 def test_stable_search_scheme_variants_run():
