@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=["json", "csv"], default=None)
         kinds = {"seed": (int, 0), "samples": (_at_least(2), samples_default),
-                 "threads": (int, None)}
+                 "threads": (_at_least(1), None)}
         for flag in reads:
             kind, default = kinds[flag]
             p.add_argument(f"--{flag}", type=kind, default=default)

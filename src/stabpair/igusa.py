@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .polyrep import (
     BlackBoxPolynomial,
+    FormalPower,
     SparsePolynomial,
     exact_gaussian_norm_sq,
     gaussian_batch,
@@ -60,7 +61,6 @@ __all__ = [
     "zeta_det_prime_zero",
     "zeta_prime_zero",
     "height",
-    "height_formal_power",
     "height_det_closed",
     "height_bounds_audit",
     "degeneration_limit_heights",
@@ -149,43 +149,47 @@ def _merge(a: _ShardStats, b: _ShardStats, top_k: int) -> _ShardStats:
 def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
                  top_k: int, shard_index: int) -> _ShardStats:
     """Moments of one shard of `count` samples, drawn in a single batch."""
-    rng = np.random.default_rng(seed_seq)
-    vals = p.evaluate_batch(gaussian_batch(p.shape, count, rng))
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise EvaluationError(f"non-finite value at shard {shard_index}, sample {bad}")
-    sq = np.abs(vals) ** 2
-    resampled = 0
-    if need_log:
-        # a value of exactly zero has probability zero; resample those
-        # rows so the log stays finite, and record how many were redrawn
-        for _ in range(100):
-            zero = np.flatnonzero(sq == 0.0)
-            if zero.size == 0:
-                break
-            resampled += int(zero.size)
-            vals_new = p.evaluate_batch(gaussian_batch(p.shape, int(zero.size), rng))
-            if not np.all(np.isfinite(vals_new)):
+    # values past the float range are caught by the finiteness checks here
+    # and on the callers' results, which raise named errors; numpy need not
+    # warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = np.random.default_rng(seed_seq)
+        vals = p.evaluate_batch(gaussian_batch(p.shape, count, rng))
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise EvaluationError(f"non-finite value at shard {shard_index}, sample {bad}")
+        sq = np.abs(vals) ** 2
+        resampled = 0
+        if need_log:
+            # a value of exactly zero has probability zero; resample those
+            # rows so the log stays finite, and record how many were redrawn
+            for _ in range(100):
+                zero = np.flatnonzero(sq == 0.0)
+                if zero.size == 0:
+                    break
+                resampled += int(zero.size)
+                vals_new = p.evaluate_batch(gaussian_batch(p.shape, int(zero.size), rng))
+                if not np.all(np.isfinite(vals_new)):
+                    raise EvaluationError(
+                        f"non-finite value during resampling in shard {shard_index}")
+                sq[zero] = np.abs(vals_new) ** 2
+            else:
                 raise EvaluationError(
-                    f"non-finite value during resampling in shard {shard_index}")
-            sq[zero] = np.abs(vals_new) ** 2
-        else:
-            raise EvaluationError(
-                f"persistent zero values in shard {shard_index}; "
-                "polynomial may vanish on a positive-measure set")
-    x = sq if s == 1.0 else sq ** s
-    y = np.log(sq) if need_log else np.zeros(0)
-    k = min(top_k, count)
-    return _ShardStats(
-        n=count,
-        mean_x=float(x.mean()),
-        mean_y=float(y.mean()) if need_log else 0.0,
-        m2x=float(((x - x.mean()) ** 2).sum()),
-        m2y=float(((y - y.mean()) ** 2).sum()) if need_log else 0.0,
-        cxy=float(((x - x.mean()) * (y - y.mean())).sum()) if need_log else 0.0,
-        top=np.partition(x, count - k)[-k:] if k else np.empty(0),
-        resampled=resampled,
-    )
+                    f"persistent zero values in shard {shard_index}; "
+                    "polynomial may vanish on a positive-measure set")
+        x = sq if s == 1.0 else sq ** s
+        y = np.log(sq) if need_log else np.zeros(0)
+        k = min(top_k, count)
+        return _ShardStats(
+            n=count,
+            mean_x=float(x.mean()),
+            mean_y=float(y.mean()) if need_log else 0.0,
+            m2x=float(((x - x.mean()) ** 2).sum()),
+            m2y=float(((y - y.mean()) ** 2).sum()) if need_log else 0.0,
+            cxy=float(((x - x.mean()) * (y - y.mean())).sum()) if need_log else 0.0,
+            top=np.partition(x, count - k)[-k:] if k else np.empty(0),
+            resampled=resampled,
+        )
 
 
 def _run_mc(p, s: float, need_log: bool, samples: int, seed,
@@ -369,42 +373,39 @@ def zeta_det_closed(n: int, s: float, convention: str = "standard") -> float:
 
 
 def log_zeta_det(n: int, s: float, cols: Optional[int] = None,
-                 D: Optional[int] = None, convention: str = "standard") -> float:
+                 convention: str = "standard") -> float:
     """log Z(det_n; s) on the matrix space M_{n x cols} (default square).
 
     Only the n leading columns enter the determinant; the rest integrate
     out, so the moment is the square-matrix one while the gamma
     normalization sees the full dimension D = n * cols.
     """
-    if D is None:
-        D = n * (cols if cols is not None else n)
+    D = n * (cols if cols is not None else n)
     return _log_gamma_norm(D, n * s) + log_zeta_det_closed(n, s, convention)
 
 
 def zeta_det(n: int, s: float, cols: Optional[int] = None,
-             D: Optional[int] = None, convention: str = "standard") -> float:
-    return math.exp(log_zeta_det(n, s, cols=cols, D=D, convention=convention))
+             convention: str = "standard") -> float:
+    return math.exp(log_zeta_det(n, s, cols=cols, convention=convention))
 
 
 def zeta_det_prime_zero(n: int, cols: Optional[int] = None,
-                        D: Optional[int] = None,
                         convention: str = "standard") -> float:
     """d/ds log-free derivative Z'(det_n; 0) on M_{n x cols}."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    if D is None:
-        D = n * (cols if cols is not None else n)
+    D = n * (cols if cols is not None else n)
     k = np.arange(1, n + 1)
     if convention == "standard":
         return float(np.sum(digamma(k)) - n * digamma(D))
     return float(2 * np.sum(digamma(k)) - n * digamma(D) - n * math.log(2 * math.pi))
 
 
-def height_det_closed(n: int, cols: Optional[int] = None, D: Optional[int] = None,
+def height_det_closed(n: int, cols: Optional[int] = None,
                       convention: str = "standard") -> float:
     """Closed-form height of det_n on M_{n x cols}."""
-    return -log_zeta_det(n, 1.0, cols=cols, D=D, convention=convention) \
-        + zeta_det_prime_zero(n, cols=cols, D=D, convention=convention)
+    return -log_zeta_det(n, 1.0, cols=cols, convention=convention) \
+        + zeta_det_prime_zero(n, cols=cols, convention=convention)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +420,19 @@ def height(p, samples: int = 10**6, seed=0, threads: int = 1,
     for monomials; exact log Z(1) (factorial norm) plus Monte Carlo Z'(0)
     for sparse polynomials; full Monte Carlo for black boxes.  Forcing
     "monte-carlo" runs the sampled route even when a closed form exists,
-    which the agreement tests exercise.
+    which the agreement tests exercise.  A formal tensor power is never
+    materialized: tensor powers multiply norms, so every part of its height
+    is the base's scaled by the exponent.
     """
     if method not in ("auto", "monte-carlo"):
         raise ValueError(f"unknown height method {method!r}")
+    if isinstance(p, FormalPower):
+        base = height(p.base, samples=samples, seed=seed, threads=threads, method=method)
+        k = p.exponent
+        return replace(base, h=k * base.h, log_Z1=k * base.log_Z1,
+                       Zprime0=k * base.Zprime0, stderr=k * base.stderr,
+                       ci_halfwidth=k * base.ci_halfwidth,
+                       method=base.method + "+formal-linear")
     if method == "auto" and _monomial_exponents(p) is not None:
         return height_monomial_closed(p, seed=seed)
     mixed = method == "auto" and isinstance(p, SparsePolynomial)
@@ -449,28 +459,6 @@ def height(p, samples: int = 10**6, seed=0, threads: int = 1,
             raise OverflowError(f"non-finite value {value!r} for {key!r}")
     return HeightReport(**values, method="mixed" if mixed else "monte-carlo",
                         samples=samples, seed=seed, resampled=stats.resampled)
-
-
-def height_formal_power(fp, samples: int = 10**6, seed=0, threads: int = 1,
-                        method: str = "auto") -> HeightReport:
-    """Height of a formal tensor power: every part scales by the exponent.
-
-    Tensor powers multiply norms, so log-quantities are linear in the
-    exponent by construction; the power is never materialized.
-    """
-    from .polyrep import FormalPower
-
-    if not isinstance(fp, FormalPower):
-        raise TypeError("height_formal_power expects a formal power")
-    base = height(fp.base, samples=samples, seed=seed, threads=threads,
-                  method=method)
-    k = fp.exponent
-    return HeightReport(h=k * base.h, log_Z1=k * base.log_Z1,
-                        Zprime0=k * base.Zprime0, stderr=k * base.stderr,
-                        ci_halfwidth=k * base.ci_halfwidth,
-                        method=base.method + "+formal-linear",
-                        samples=base.samples, seed=seed,
-                        resampled=base.resampled)
 
 
 @dataclass
@@ -556,14 +544,13 @@ def degeneration_limit_heights(n: int, N: int, d: int, deg_R: int,
                                convention: str = "standard") -> DegenerationLimits:
     if min(n, N, d, deg_R, deg_Delta) <= 0:
         raise ValueError("all degeneration parameters must be positive")
-    D_R = (n + 1) * (N + 1)
-    D_Delta = n * (N + 1)
+    cols = N + 1
     s_delta = deg_Delta / n
-    log_zeta_R = log_zeta_det(n + 1, float(d), D=D_R, convention=convention)
-    log_zeta_Delta = log_zeta_det(n, s_delta, D=D_Delta, convention=convention)
-    hF = (deg_R / (n + 1)) * zeta_det_prime_zero(n + 1, D=D_R, convention=convention) \
+    log_zeta_R = log_zeta_det(n + 1, float(d), cols=cols, convention=convention)
+    log_zeta_Delta = log_zeta_det(n, s_delta, cols=cols, convention=convention)
+    hF = (deg_R / (n + 1)) * zeta_det_prime_zero(n + 1, cols=cols, convention=convention) \
         - log_zeta_R
-    hDelta = s_delta * zeta_det_prime_zero(n, D=D_Delta, convention=convention) \
+    hDelta = s_delta * zeta_det_prime_zero(n, cols=cols, convention=convention) \
         - log_zeta_Delta
     delta = abs(deg_Delta * hF - deg_R * hDelta)
     logd = math.log(d)

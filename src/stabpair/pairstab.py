@@ -4,7 +4,10 @@ A pair (v, w) is numerically semistable at a maximal torus when the weight
 polytope of v is contained in the weight polytope of w; equivalently, when
 min <a, lam> over the support of v is >= the same minimum for w, for every
 integer sum-zero functional lam.  (Containment in a smaller set can only
-raise a minimum, and a separating facet normal certifies failure.)
+raise a minimum, and a separating facet normal certifies failure.)  Every
+verdict here is read from one table per torus: the weights over N(w)'s
+certificate functionals (its facet normals and affine-hull normals), which
+are a finite set of lam that suffices.
 
 Full semistability quantifies over all maximal tori, which is out of reach
 exactly; this module certifies the diagonal torus exactly and probes random
@@ -24,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import exactgeom
-from .exactgeom import LatticePolytope, contains, convex_hull, dilate, minkowski_sum
+from .exactgeom import LatticePolytope, contains, convex_hull, dilate
 from .polyrep import (
     AnyPolynomial,
     FormalPower,
@@ -46,7 +49,6 @@ __all__ = [
     "module_degree",
     "stable_search",
     "separating_functionals",
-    "destabilizing_functional",
     "verify_witness",
 ]
 
@@ -112,22 +114,28 @@ def weight_polytope(p: AnyPolynomial) -> LatticePolytope:
     return convex_hull(pts)
 
 
-def ops_weight(p: AnyPolynomial, lam: OnePSG):
-    """min over the support of p of <a, lam>; exact.
+def _weights(p: AnyPolynomial, lams: list) -> list:
+    """min over the support of p of <a, lam>, for each lam in turn; exact.
 
     Raw and projected characters give the same value because lam sums to
-    zero.  Formal powers scale the weight by their exponent.
+    zero.  Formal powers scale the weights by their exponent.
     """
+    if isinstance(p, FormalPower):
+        return [p.exponent * x for x in _weights(p.base, lams)]
+    chars = support(p)
+    return [min(c.pair(lam) for c in chars) for lam in lams]
+
+
+def ops_weight(p: AnyPolynomial, lam: OnePSG):
+    """min over the support of p of <a, lam>; exact."""
     if not isinstance(lam, OnePSG):
         lam = OnePSG(tuple(lam))
-    if isinstance(p, FormalPower):
-        return p.exponent * ops_weight(p.base, lam)
-    return min(c.pair(lam) for c in support(p))
+    return _weights(p, [lam])[0]
 
 
 def semistable_diagonal(pair: PairSpec) -> bool:
     """Exact weight-polytope containment N(v) <= N(w) at the diagonal torus."""
-    return contains(weight_polytope(pair.w), weight_polytope(pair.v))
+    return all(wv >= ww for _lam, wv, ww in _weight_table(pair.v, pair.w))
 
 
 def _project_primitive(vec, ambient: int) -> tuple:
@@ -161,19 +169,15 @@ def separating_functionals(polytope: LatticePolytope) -> list:
     return lams
 
 
-def destabilizing_functional(outer: LatticePolytope,
-                             inner: LatticePolytope) -> Optional[OnePSG]:
-    """A sum-zero integer functional with min(inner) < min(outer), if one exists.
+def _weight_table(v: AnyPolynomial, w: AnyPolynomial) -> list:
+    """(lam, weight of v, weight of w) for each lam certifying containment in N(w).
 
-    Containment failures always yield one through a violated equality or
-    facet of the outer polytope.
+    N(v) <= N(w) exactly when no row has weight of v below weight of w; the
+    rows follow `separating_functionals`, so the first failing one is a
+    deterministic witness.  Only N(w) is hulled.
     """
-    for lam in separating_functionals(outer):
-        lo_inner = exactgeom.support_min(inner, lam.exponents)
-        lo_outer = exactgeom.support_min(outer, lam.exponents)
-        if lo_inner < lo_outer:
-            return lam
-    return None
+    lams = separating_functionals(weight_polytope(w))
+    return list(zip(lams, _weights(v, lams), _weights(w, lams)))
 
 
 def _acted_pair(pair: PairSpec, g: GroupElement):
@@ -181,16 +185,9 @@ def _acted_pair(pair: PairSpec, g: GroupElement):
 
 
 def _probe_trial(pair: PairSpec, g: GroupElement) -> Optional[OnePSG]:
-    """A functional destabilizing the pair conjugated by g, or None."""
-    v_g, w_g = _acted_pair(pair, g)
-    wp_v = weight_polytope(v_g)
-    wp_w = weight_polytope(w_g)
-    if contains(wp_w, wp_v):
-        return None
-    lam = destabilizing_functional(wp_w, wp_v)
-    if lam is None:  # pragma: no cover - separation always produces a witness
-        raise ArithmeticError("containment failed but no separating functional found")
-    return lam
+    """The first functional destabilizing the pair conjugated by g, or None."""
+    table = _weight_table(*_acted_pair(pair, g))
+    return next((lam for lam, wv, ww in table if wv < ww), None)
 
 
 def semistable_probe(pair: PairSpec, trials: int = 20, rng_seed=0) -> StabilityVerdict:
@@ -198,7 +195,7 @@ def semistable_probe(pair: PairSpec, trials: int = 20, rng_seed=0) -> StabilityV
 
     Trial 0 is the identity (the diagonal torus itself); the remaining
     trials act by random integer unimodular matrices, so every verdict is
-    an exact polytope computation.  Trials run in index order and the
+    an exact weight computation.  Trials run in index order and the
     first destabilizer stops the probe; all trial seeds are spawned up
     front, so trial i acts by the same element however many trials run.
     A returned witness (g, lam) satisfies
@@ -271,43 +268,34 @@ def stable_search(pair: PairSpec, q: int, m_max: int = 50,
     scheme "m:m+1" tests q*Q + m*N(v) <= (m+1)*N(w); scheme "m-1:m" tests
     the shifted variant q*Q + (m-1)*N(v) <= m*N(w).  Both exponent layouts
     appear in the source definitions and are kept behind this flag rather
-    than reconciled.  The sweep is linear in m because the criterion is not
-    monotone in m a priori.  Each diagonal success is cross-checked on
-    conjugate tori (probe_trials random integer ones) and rejected on any
-    failure; the identity simplex factor is torus-independent, so only the
-    pair polytopes move.
+    than reconciled.  A dilate of N(w) keeps its facet normals, so each test
+    reads the weights over N(w)'s certificate functionals: with k = m (resp.
+    m - 1), q*min(lam) + k*weight(v) >= (k+1)*weight(w) on every row, where
+    min(lam) is the minimum of lam over Q on any torus.  The sweep is linear
+    in m because the criterion is not monotone in m a priori.  Each diagonal
+    success is cross-checked on conjugate tori (probe_trials random integer
+    ones) and rejected on any failure.
     """
     if q < 1:
         raise ValueError("identity padding exponent q must be >= 1")
     if scheme not in ("m:m+1", "m-1:m"):
         raise ValueError(f"unknown exponent scheme {scheme!r}")
-    qn = simplex_qn(pair.ambient)
 
     seeds = np.random.SeedSequence(rng_seed).spawn(probe_trials)
     conjugators = [random_unimodular(pair.ambient, np.random.default_rng(s)) for s in seeds]
 
-    def criterion(wp_v: LatticePolytope, wp_w: LatticePolytope, m: int) -> bool:
-        if scheme == "m:m+1":
-            source = minkowski_sum(dilate(qn, q), dilate(wp_v, m))
-            target = dilate(wp_w, m + 1)
-        else:
-            source = (minkowski_sum(dilate(qn, q), dilate(wp_v, m - 1))
-                      if m > 1 else dilate(qn, q))
-            target = dilate(wp_w, m)
-        return contains(target, source)
+    def criterion(table: list, m: int) -> bool:
+        k = m if scheme == "m:m+1" else m - 1
+        return all(q * min(lam.exponents) + k * wv >= (k + 1) * ww
+                   for lam, wv, ww in table)
 
-    def polytopes(v, w):
-        wp_w = weight_polytope(w)
-        wp_w.vertices  # hull N(w) once: every dilate of it inherits the vertices
-        return weight_polytope(v), wp_w
-
-    wp_v0, wp_w0 = polytopes(pair.v, pair.w)
+    table = _weight_table(pair.v, pair.w)
     acted = None
     for m in range(1, m_max + 1):
-        if not criterion(wp_v0, wp_w0, m):
+        if not criterion(table, m):
             continue
         if acted is None:
-            acted = [polytopes(*_acted_pair(pair, g)) for g in conjugators]
-        if all(criterion(wp_v, wp_w, m) for wp_v, wp_w in acted):
+            acted = [_weight_table(*_acted_pair(pair, g)) for g in conjugators]
+        if all(criterion(t, m) for t in acted):
             return m
     return None

@@ -16,7 +16,6 @@ from stabpair.exactgeom import contains, dilate
 from stabpair.igusa import (
     degeneration_limit_heights,
     height,
-    height_formal_power,
     height_monomial_closed,
     mc_moment,
     zeta,
@@ -320,7 +319,7 @@ def test_criterion_9_invariance_suite():
     checks["formal-polytope"] = (weight_polytope(fp)
                                  == dilate(weight_polytope(disc), 6))
     base_rep = height(disc, samples=50_000, seed=904)
-    fp_rep = height_formal_power(fp, samples=50_000, seed=904)
+    fp_rep = height(fp, samples=50_000, seed=904)
     checks["formal-height"] = (fp_rep.h == 6 * base_rep.h
                                and fp_rep.log_Z1 == 6 * base_rep.log_Z1)
 

@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import stabpair
 from stabpair.cli import main, parse_pair_spec, parse_poly_spec, parse_sigma_spec
 from stabpair.polyrep import SparsePolynomial, poly_to_json
 
@@ -266,6 +272,21 @@ def test_non_finite_payload_exits_three_and_names_key(capsys):
     assert "non-finite" in captured.err and "'h'" in captured.err
 
 
+@pytest.mark.parametrize("degree", [24, 40])
+def test_overflow_error_output_carries_no_numpy_warning(degree):
+    # run as a fresh process, where no test runner captures the warnings
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    src = str(Path(stabpair.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabpair.cli", "height", "--poly", f"disc:{degree}",
+         "--samples", "2000", "--seed", "7"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: OverflowError")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["zeta", "--poly", "bogus:1", "--s", "1"]) == 2
     assert run(["zeta", "--poly", "disc:1", "--s", "1"]) == 2  # family needs d >= 2
@@ -281,6 +302,8 @@ def test_usage_errors_exit_two(capsys):
     assert run(["zeta", "--poly", "disc:2^2", "--s", "1"]) == 2
     assert run(["height", "--poly", "monomial:1,-1"]) == 2
     assert run(["variety", "--d", "1"]) == 2
+    assert run(["height", "--poly", "disc:3", "--threads", "-3"]) == 2
+    assert run(["height", "--poly", "disc:3", "--threads", "0"]) == 2
 
 
 def test_internal_value_error_exits_three(monkeypatch, capsys):

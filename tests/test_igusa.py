@@ -27,6 +27,7 @@ from stabpair.igusa import (
 )
 from stabpair.polyrep import (
     BlackBoxPolynomial,
+    FormalPower,
     MatrixShape,
     SparsePolynomial,
     act,
@@ -269,6 +270,18 @@ def test_height_det_closed_matches_mc():
     want = height_det_closed(2, cols=2, convention="standard")
     got = height(determinant_poly(2), samples=300_000, seed=9, method="monte-carlo")
     assert abs(want - got.h) < 3.5 * got.stderr
+
+
+def test_height_scales_formal_powers_linearly():
+    mono = monomial(MatrixShape(1, 3), ((2, 1, 0),))
+    for base_poly, kwargs in ((mono, {}), (disc2(), {"samples": 2000, "seed": 5})):
+        base = height(base_poly, **kwargs)
+        rep = height(FormalPower(base_poly, 3), **kwargs)
+        assert rep.method == base.method + "+formal-linear"
+        assert (rep.h, rep.log_Z1, rep.Zprime0, rep.stderr, rep.ci_halfwidth) == (
+            3 * base.h, 3 * base.log_Z1, 3 * base.Zprime0, 3 * base.stderr,
+            3 * base.ci_halfwidth)
+        assert (rep.samples, rep.seed) == (base.samples, base.seed)
 
 
 def test_height_raises_on_non_finite_report():

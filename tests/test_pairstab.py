@@ -1,16 +1,18 @@
 """Pair semistability: weight polytopes, one-parameter weights, probing."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stabpair.exactgeom import contains, dilate, support_min
+from stabpair.exactgeom import contains, dilate, minkowski_sum, support_min
 from stabpair.pairstab import (
     CERTIFIED,
     DESTABILIZED,
     PairSpec,
-    destabilizing_functional,
+    _probe_trial,
+    _weight_table,
     module_degree,
     ops_weight,
     semistable_diagonal,
@@ -23,6 +25,7 @@ from stabpair.pairstab import (
 )
 from stabpair.polyrep import (
     FormalPower,
+    GroupElement,
     MatrixShape,
     OnePSG,
     SparsePolynomial,
@@ -291,7 +294,6 @@ def test_probe_stops_at_first_destabilizer(monkeypatch):
 
 def test_probe_trial_hulls_only_the_w_side(hull_inputs):
     from stabpair import varieties
-    from stabpair.pairstab import _probe_trial
 
     g = random_unimodular(3, np.random.default_rng(4))
     certified = varieties.normalized_pair(varieties.rnc_example(2))
@@ -384,8 +386,8 @@ def test_stable_search_conjugate_cross_check_rejects(monkeypatch):
 
 
 def test_stable_search_hulls_only_the_target(hull_inputs):
-    # N(v) and every Minkowski sum are read only through containment of their
-    # generators; N(w) is hulled once and each dilate of it inherits the vertices
+    # the search reads weights over N(w)'s certificate functionals: N(w) is
+    # hulled once for its facets, and N(v) is read only through its support
     from stabpair import varieties
 
     pair = varieties.normalized_pair(varieties.rnc_example(3))
@@ -405,21 +407,91 @@ def test_stable_search_scheme_variants_run():
 
 # -- destabilizer extraction -----------------------------------------------------------
 
+def random_pair_supports(rng, cols):
+    """(v, w) on `cols` columns; w is often degenerate and v often inside it."""
+    w = random_support_poly(rng, cols, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return w, w
+    if kind == 1:
+        chars = sorted(c.degrees for c in support(w))
+        keep = [chars[i] for i in sorted(set(rng.integers(0, len(chars), size=len(chars))))]
+        return poly_from_chars(keep, cols), w
+    return random_support_poly(rng, cols, w.degree, int(rng.integers(1, 4))), w
+
+
+def reference_destabilizer(outer, inner):
+    """First certificate functional of `outer` whose minimum over `inner` is lower."""
+    for lam in separating_functionals(outer):
+        if support_min(inner, lam.exponents) < support_min(outer, lam.exponents):
+            return lam
+    return None
+
+
 def test_destabilizing_functional_direction():
+    # the weight table decides containment exactly, and its first failing
+    # row is the first separating functional of N(w) that N(v) undercuts
     rng = np.random.default_rng(41)
     found = 0
-    for _ in range(40):
+    identity = {cols: GroupElement.identity(cols) for cols in range(2, 5)}
+    for _ in range(80):
         cols = int(rng.integers(2, 5))
-        inner = weight_polytope(random_support_poly(rng, cols, int(rng.integers(1, 5)),
-                                                    int(rng.integers(1, 4))))
-        outer = weight_polytope(random_support_poly(rng, cols, int(rng.integers(1, 5)),
-                                                    int(rng.integers(1, 4))))
-        if contains(outer, inner):
-            assert destabilizing_functional(outer, inner) is None
-        else:
-            lam = destabilizing_functional(outer, inner)
-            assert lam is not None
+        v, w = random_pair_supports(rng, cols)
+        inner, outer = weight_polytope(v), weight_polytope(w)
+        pair = PairSpec.of(v, w)
+        table = _weight_table(v, w)
+        assert [lam for lam, _wv, _ww in table] == separating_functionals(outer)
+        for lam, wv, ww in table:
+            assert wv == support_min(inner, lam.exponents)
+            assert ww == support_min(outer, lam.exponents)
+        want = reference_destabilizer(outer, inner)
+        assert (want is None) == contains(outer, inner) == semistable_diagonal(pair)
+        assert _probe_trial(pair, identity[cols]) == want
+        if want is not None:
             found += 1
-            assert support_min(inner, lam.exponents) < support_min(outer, lam.exponents)
-            assert sum(lam.exponents) == 0
-    assert found > 0
+            assert sum(want.exponents) == 0
+            assert ops_weight(v, want) < ops_weight(w, want)
+    assert 10 < found < 70
+
+
+def reference_stable_search(pair, q, m_max, scheme, probe_trials, rng_seed):
+    """The twist criterion as polytope containment, on every torus at every m."""
+    qn = simplex_qn(pair.ambient)
+    seeds = np.random.SeedSequence(rng_seed).spawn(probe_trials)
+    tori = [GroupElement.identity(pair.ambient)] + [
+        random_unimodular(pair.ambient, np.random.default_rng(s)) for s in seeds]
+
+    @functools.cache
+    def polytopes(i):
+        v, w = (pair.v, pair.w) if i == 0 else (act(tori[i], pair.v), act(tori[i], pair.w))
+        return weight_polytope(v), weight_polytope(w)
+
+    def holds(i, m):
+        k = m if scheme == "m:m+1" else m - 1
+        wp_v, wp_w = polytopes(i)
+        source = minkowski_sum(dilate(qn, q), dilate(wp_v, k))
+        # (k+1) N(w) contains the source exactly when N(w) contains source / (k+1)
+        return contains(wp_w, dilate(source, F(1, k + 1)))
+
+    for m in range(1, m_max + 1):
+        if all(holds(i, m) for i in range(len(tori))):
+            return m
+    return None
+
+
+def test_stable_search_matches_containment_reference():
+    rng = np.random.default_rng(43)
+    results = []
+    for _ in range(200):
+        cols = int(rng.integers(2, 5))
+        v, w = random_pair_supports(rng, cols)
+        pair = PairSpec.of(v, w)
+        q = int(rng.integers(1, 5))
+        probe_trials = int(rng.integers(0, 3))
+        seed = int(rng.integers(0, 10**6))
+        for scheme in ("m:m+1", "m-1:m"):
+            got = stable_search(pair, q=q, m_max=4, scheme=scheme,
+                                probe_trials=probe_trials, rng_seed=seed)
+            assert got == reference_stable_search(pair, q, 4, scheme, probe_trials, seed)
+            results.append(got)
+    assert 20 < sum(m is not None for m in results) < len(results)
