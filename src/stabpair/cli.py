@@ -387,15 +387,16 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_height(args) -> int:
     poly = _evaluable_poly(args.poly)
-    rep = igusa.height(poly, samples=args.samples, seed=args.seed,
-                       threads=_resolve_threads(args))
-    payload = {"schema": SCHEMA, "poly": args.poly, "seed": args.seed,
-               **_fields(rep, "h log_Z1 Zprime0 stderr ci_halfwidth method samples")}
+    mc = {"samples": args.samples, "seed": args.seed, "threads": _resolve_threads(args)}
+    audit = None
     if args.audit_bounds:
         if poly.shape.rows != 1:
             raise CLIUsageError("--audit-bounds applies to vector variable spaces")
-        audit = igusa.height_bounds_audit(poly, samples=args.samples, seed=args.seed,
-                                          threads=_resolve_threads(args))
+        audit = igusa.height_bounds_audit(poly, **mc)
+    rep = igusa.height(poly, **mc) if audit is None else audit.report
+    payload = {"schema": SCHEMA, "poly": args.poly, "seed": args.seed,
+               **_fields(rep, "h log_Z1 Zprime0 stderr ci_halfwidth method samples")}
+    if audit is not None:
         payload["bounds"] = _fields(
             audit, "lower lower_alt upper pass_lower pass_lower_alt pass_upper")
     _emit_report(args, payload)
@@ -416,7 +417,7 @@ def _parse_range(text: str, least: int) -> list:
 def _cmd_degeneration(args) -> int:
     # the table is built in for curves (n = 1); the library takes any n
     rows = []
-    for d in _parse_range(args.d_range, 1):
+    for d in _parse_range(args.d_range, 2):
         lim = igusa.degeneration_limit_heights(
             n=1, N=d, d=d, deg_R=2 * d, deg_Delta=2 * d - 2,
             convention=args.convention)

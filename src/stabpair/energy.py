@@ -37,7 +37,6 @@ from .polyrep import (
     GroupElement,
     OnePSG,
     SparsePolynomial,
-    TorusCharacter,
     _column_degrees,
     _complex,
     _group_element,
@@ -141,7 +140,7 @@ def _ray_log_norm_ratio(p: AnyPolynomial, lam: OnePSG, log_ts: list) -> np.ndarr
         raise ValueError("ray profiles need sparse polynomials (or powers of them)")
     masses = np.array([2 * math.log(abs(complex(c))) + math.log(_monomial_weight(exps))
                        for exps, c in p.terms.items()])
-    pairings = np.array([TorusCharacter(_column_degrees(exps)).pair(lam)
+    pairings = np.array([lam.pair(_column_degrees(exps))
                          for exps in p.terms], dtype=float)
     base = _logsumexp(masses)
     return np.array([_logsumexp(masses + 2.0 * pairings * lt) - base for lt in log_ts])

@@ -271,6 +271,7 @@ def mc_moment(p, s: float, samples: int = 10**6, seed=0,
     stats = _run_mc(p, float(s), False, samples, seed, threads)
     var = stats.m2x / (stats.n - 1)
     stderr = math.sqrt(var / stats.n)
+    _require_finite(mean=stats.mean_x, stderr=stderr)
     total_mass = stats.mean_x * stats.n
     tail_share = float(stats.top.sum() / total_mass) if total_mass > 0 else 0.0
     warn = bool(s >= 2 and tail_share > 0.2)
@@ -281,6 +282,14 @@ def mc_moment(p, s: float, samples: int = 10**6, seed=0,
     return MomentEstimate(mean=stats.mean_x, stderr=stderr, s=float(s),
                           samples=samples, seed=seed,
                           tail_share=tail_share, tail_warning=warn)
+
+
+def _require_finite(**values) -> None:
+    """Raise OverflowError naming the first of `values` that is NaN or infinite;
+    every estimator checks what it would return, before dividing by any of it."""
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"non-finite value {value!r} for {key!r}")
 
 
 def _dims(p) -> tuple:
@@ -309,15 +318,18 @@ def zeta(p, s: float, samples: int = 10**6, seed=0, threads: int = 1) -> ZetaEst
                             samples=0, seed=seed)
     moment = mc_moment(p, s, samples=samples, seed=seed, threads=threads)
     factor = math.exp(_log_gamma_norm(D, d * s))
-    value = factor * moment.mean
+    value, stderr = factor * moment.mean, factor * moment.stderr
+    _require_finite(value=value, stderr=stderr)
     return ZetaEstimate(s=float(s), value=value, log_value=math.log(value),
-                        stderr=factor * moment.stderr, samples=samples, seed=seed)
+                        stderr=stderr, samples=samples, seed=seed)
 
 
 def zeta_prime_zero(p, samples: int = 10**6, seed=0, threads: int = 1):
     """Z'(P;0) = E[log|P(Z)|^2] - d psi(D); (value, stderr of the sampled term)."""
     d, D = _dims(p)
-    return _sampled_zprime0(_run_mc(p, 1.0, True, samples, seed, threads), d, D)
+    value, stderr = _sampled_zprime0(_run_mc(p, 1.0, True, samples, seed, threads), d, D)
+    _require_finite(Zprime0=value, stderr=stderr)
+    return value, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +461,15 @@ def height(p, samples: int = 10**6, seed=0, threads: int = 1,
         var_y = stats.m2y / (n - 1)
         cov = stats.cxy / (n - 1)
         log_norm = math.log(stats.mean_x)
-        var_h = (var_y + var_x / stats.mean_x**2 - 2 * cov / stats.mean_x) / n
-        stderr = math.sqrt(max(var_h, 0.0))
+        if math.isfinite(var_x):
+            var_h = (var_y + var_x / stats.mean_x**2 - 2 * cov / stats.mean_x) / n
+            stderr = math.sqrt(max(var_h, 0.0))
+        else:  # the variance is past the float range, where mean_x**2 raises unnamed
+            stderr = math.inf
     log_z1 = _log_gamma_norm(D, d) + log_norm
     values = {"h": -log_z1 + zp0, "log_Z1": log_z1, "Zprime0": zp0,
               "stderr": stderr, "ci_halfwidth": 3 * stderr}
-    for key, value in values.items():
-        if not math.isfinite(value):
-            raise OverflowError(f"non-finite value {value!r} for {key!r}")
+    _require_finite(**values)
     return HeightReport(**values, method="mixed" if mixed else "monte-carlo",
                         samples=samples, seed=seed, resampled=stats.resampled)
 
@@ -515,9 +528,7 @@ class DegenerationLimits:
         hF    = (deg_R / (n+1)) Z'(det_{n+1}; 0) - log Z(det_{n+1}; d)
         hDelta= (deg_Delta / n) Z'(det_n; 0) - log Z(det_n; deg_Delta / n)
 
-    and delta = |deg_Delta * hF - deg_R * hDelta|.  The leading-order
-    pieces -2 deg log(d) and deg log(d) are split out so growth fits can be
-    read off directly.
+    and delta = |deg_Delta * hF - deg_R * hDelta|.
     """
 
     n: int
@@ -530,13 +541,6 @@ class DegenerationLimits:
     hDelta_limit: float
     delta_limit: float
     log_zeta_R: float
-    log_zeta_Delta: float
-    hF_leading: float
-    hF_remainder: float
-    hDelta_leading: float
-    hDelta_remainder: float
-    logZ_R_leading: float
-    logZ_R_remainder: float
 
 
 def degeneration_limit_heights(n: int, N: int, d: int, deg_R: int,
@@ -553,13 +557,6 @@ def degeneration_limit_heights(n: int, N: int, d: int, deg_R: int,
     hDelta = s_delta * zeta_det_prime_zero(n, cols=cols, convention=convention) \
         - log_zeta_Delta
     delta = abs(deg_Delta * hF - deg_R * hDelta)
-    logd = math.log(d)
     return DegenerationLimits(
         n=n, N=N, d=d, deg_R=deg_R, deg_Delta=deg_Delta, convention=convention,
-        hF_limit=hF, hDelta_limit=hDelta, delta_limit=delta,
-        log_zeta_R=log_zeta_R, log_zeta_Delta=log_zeta_Delta,
-        hF_leading=-2 * deg_R * logd, hF_remainder=hF + 2 * deg_R * logd,
-        hDelta_leading=-2 * deg_Delta * logd,
-        hDelta_remainder=hDelta + 2 * deg_Delta * logd,
-        logZ_R_leading=deg_R * logd, logZ_R_remainder=log_zeta_R - deg_R * logd,
-    )
+        hF_limit=hF, hDelta_limit=hDelta, delta_limit=delta, log_zeta_R=log_zeta_R)

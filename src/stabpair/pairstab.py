@@ -4,7 +4,10 @@ A pair (v, w) is numerically semistable at a maximal torus when the weight
 polytope of v is contained in the weight polytope of w; equivalently, when
 min <a, lam> over the support of v is >= the same minimum for w, for every
 integer sum-zero functional lam.  (Containment in a smaller set can only
-raise a minimum, and a separating facet normal certifies failure.)  Every
+raise a minimum, and a separating facet normal certifies failure.)  The
+support is the set of column-degree tuples a of the terms, <a, lam> is
+`OnePSG.pair`, and the weight polytope is the hull of the support
+projected to the sum-zero hyperplane, where lam pairs the same.  Every
 verdict here is read from one table per torus: the weights over N(w)'s
 certificate functionals (its facet normals and affine-hull normals), which
 are a finite set of lam that suffices.
@@ -107,11 +110,13 @@ def simplex_qn(ambient: int) -> LatticePolytope:
 
 
 def weight_polytope(p: AnyPolynomial) -> LatticePolytope:
-    """Hull of the projected (sum-zero) torus characters of p."""
+    """Hull of the torus characters of p projected to the sum-zero hyperplane,
+    where characters of different total degrees become comparable."""
     if isinstance(p, FormalPower):
         return dilate(weight_polytope(p.base), p.exponent)
-    pts = [c.projected() for c in support(p)]
-    return convex_hull(pts)
+    chars = support(p)
+    shift = Fraction(p.degree, p.shape.cols)
+    return convex_hull([tuple(d - shift for d in c) for c in chars])
 
 
 def _weights(p: AnyPolynomial, lams: list) -> list:
@@ -123,7 +128,7 @@ def _weights(p: AnyPolynomial, lams: list) -> list:
     if isinstance(p, FormalPower):
         return [p.exponent * x for x in _weights(p.base, lams)]
     chars = support(p)
-    return [min(c.pair(lam) for c in chars) for lam in lams]
+    return [min(map(lam.pair, chars)) for lam in lams]
 
 
 def ops_weight(p: AnyPolynomial, lam: OnePSG):

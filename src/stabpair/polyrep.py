@@ -45,7 +45,6 @@ from .exactgeom import _rref
 
 __all__ = [
     "MatrixShape",
-    "TorusCharacter",
     "SparsePolynomial",
     "GroupElement",
     "OnePSG",
@@ -56,11 +55,9 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "tensor_support",
-    "gaussian_sample",
     "gaussian_batch",
     "random_unimodular",
     "exact_gaussian_norm_sq",
-    "measured_degree",
     "poly_to_json",
     "poly_from_json",
     "monomial",
@@ -77,45 +74,14 @@ class MatrixShape(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TorusCharacter:
-    """Column-degree vector of a monomial on a matrix space.
-
-    The diagonal torus scales column j by t_j, so a monomial transforms by
-    prod t_j ** degrees[j].  The projected form subtracts the mean and lives
-    in the sum-zero hyperplane, where characters of polynomials of different
-    total degrees become comparable.
-    """
-
-    degrees: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
-
-    def projected(self) -> tuple:
-        shift = Fraction(self.total, len(self.degrees))
-        return tuple(Fraction(d) - shift for d in self.degrees)
-
-    def __add__(self, other: "TorusCharacter") -> "TorusCharacter":
-        if len(self.degrees) != len(other.degrees):
-            raise ValueError("character length mismatch")
-        return TorusCharacter(tuple(a + b for a, b in zip(self.degrees, other.degrees)))
-
-    def pair(self, lam: "OnePSG"):
-        if len(lam.exponents) != len(self.degrees):
-            raise ValueError("character / one-parameter-subgroup length mismatch")
-        return sum(a * l for a, l in zip(self.degrees, lam.exponents))
-
-
-@dataclass(frozen=True)
 class OnePSG:
     """Algebraic one-parameter subgroup of the diagonal torus of SL(N+1).
 
     Identified with its integer exponent vector, which sums to zero; it is
     also the sum-zero integer functional that weights pair characters with.
+    A torus character is a column-degree tuple, as `support` returns it:
+    the torus scales column j by t_j, so a monomial transforms by
+    prod t_j ** degrees[j].
     """
 
     exponents: tuple
@@ -130,6 +96,13 @@ class OnePSG:
 
     def matrix(self, t: complex) -> np.ndarray:
         return np.diag([complex(t) ** e for e in self.exponents])
+
+    def pair(self, character: tuple) -> int:
+        """<character, lam>, exact; projecting the character to the sum-zero
+        hyperplane first would not change it."""
+        if len(character) != len(self.exponents):
+            raise ValueError("character / one-parameter-subgroup length mismatch")
+        return sum(a * l for a, l in zip(character, self.exponents))
 
 
 def _is_exact(c) -> bool:
@@ -394,10 +367,8 @@ class BlackBoxPolynomial:
         self.shape = MatrixShape(*self.shape)
         if self.check_samples:
             rng = np.random.default_rng(20151216)
-            draws = [(gaussian_sample(self.shape, rng),
-                      rng.standard_normal() + 1j * rng.standard_normal())
-                     for _ in range(self.check_samples)]
-            a, t = (np.array(x) for x in zip(*draws))
+            a = gaussian_batch(self.shape, self.check_samples, rng)
+            t = gaussian_batch((1, 1), self.check_samples, rng).ravel()
             vals = self.evaluate_batch(np.concatenate([t[:, None, None] * a, a]))
             lhs, rhs = vals[:len(t)], t ** self.degree * vals[len(t):]
             scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
@@ -490,25 +461,20 @@ def determinant_poly(n: int) -> SparsePolynomial:
 # ---------------------------------------------------------------------------
 
 def support(p: AnyPolynomial) -> set:
-    """Set of torus characters with nonzero component in p."""
+    """The torus characters of p: the column-degree tuples of its terms.
+
+    A formal power's support is never formed (weights and polytopes scale
+    linearly in the exponent), and a black box's is unknown."""
     if isinstance(p, FormalPower):
-        base_support = support(p.base)
-        if p.exponent > 12 and len(base_support) > 1:
-            raise ValueError(
-                "iterated sumset support of a large formal power is "
-                "combinatorial; weights and polytopes scale linearly in the "
-                "exponent instead")
-        out = {TorusCharacter(tuple(0 for _ in range(p.shape.cols)))}
-        for _ in range(p.exponent):
-            out = {a + b for a in out for b in base_support}
-        return out
+        raise ValueError("the support of a formal power is never formed; "
+                         "weights and polytopes scale linearly in the exponent")
     if isinstance(p, BlackBoxPolynomial):
         raise ValueError(
             f"{p.name}: support of a black-box polynomial is unavailable; "
             "construct it symbolically or supply the support explicitly")
     if p.is_zero:
         raise ValueError("zero polynomial has no support")
-    return {TorusCharacter(_column_degrees(exps)) for exps in p.terms}
+    return {_column_degrees(exps) for exps in p.terms}
 
 
 def act(sigma: Union[GroupElement, np.ndarray, Sequence], p: AnyPolynomial):
@@ -628,7 +594,7 @@ def tensor_support(v: AnyPolynomial, w: AnyPolynomial) -> set:
     sup_v, sup_w = support(v), support(w)
     if v.shape.cols != w.shape.cols:
         raise ValueError("ambient dimension mismatch")
-    return {a + b for a in sup_v for b in sup_w}
+    return {tuple(x + y for x, y in zip(a, b)) for a in sup_v for b in sup_w}
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +607,9 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def gaussian_sample(shape: MatrixShape, rng_seed=0) -> np.ndarray:
-    """One draw of the standard complex Gaussian on the matrix space.
-
-    Entries are i.i.d. with independent real and imaginary parts of variance
-    1/2, so E|z_ij|^2 = 1 and the density is exp(-|Z|^2) / pi^dim.
-    """
-    return gaussian_batch(shape, 1, rng_seed)[0]
-
-
 def gaussian_batch(shape: MatrixShape, count: int, rng_seed=0) -> np.ndarray:
+    """`count` draws of the standard complex Gaussian on the matrix space:
+    i.i.d. entries with E|z_ij|^2 = 1, so the density is exp(-|Z|^2) / pi^dim."""
     rng = _as_rng(rng_seed)
     shape = MatrixShape(*shape)
     re = rng.standard_normal((count, shape.rows, shape.cols))
@@ -707,34 +666,6 @@ def exact_gaussian_norm_sq(p: SparsePolynomial):
     return total
 
 
-def measured_degree(p: Union[SparsePolynomial, BlackBoxPolynomial], rng_seed=3) -> int:
-    """Total degree measured from behavior under scaling.
-
-    For sparse polynomials this just reads the stored degree; for black
-    boxes it recovers the integer exponent from f(2A)/f(A) at random points
-    and checks consistency.
-    """
-    if isinstance(p, SparsePolynomial):
-        if p.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return p.degree
-    rng = _as_rng(rng_seed)
-    a = np.array([gaussian_sample(p.shape, rng) for _ in range(5)])
-    vals = p.evaluate_batch(np.concatenate([a, 2.0 * a]))
-    measured = set()
-    for base, scaled in zip(vals[:5], vals[5:]):
-        if abs(base) < 1e-12:
-            continue
-        log_ratio = math.log2(abs(scaled) / abs(base))
-        deg = round(log_ratio)
-        if abs(log_ratio - deg) > 1e-6:
-            raise ValueError("scaling ratio is not an integer power of 2")
-        measured.add(int(deg))
-    if len(measured) != 1:
-        raise ValueError(f"inconsistent measured degrees {sorted(measured)}")
-    return measured.pop()
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -767,8 +698,4 @@ def poly_from_json(text: str) -> SparsePolynomial:
             re, im = item.get("re", 0.0), item.get("im", 0.0)
             coeff = int(re) if im == 0 and float(re).is_integer() else complex(re, im)
         terms[exps] = coeff
-    p = SparsePolynomial(shape, terms)
-    declared = payload.get("degree")
-    if declared is not None and not p.is_zero and p.degree != declared:
-        raise ValueError("declared degree disagrees with terms")
-    return p
+    return SparsePolynomial(shape, terms, payload.get("degree"))

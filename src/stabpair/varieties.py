@@ -10,8 +10,9 @@ heights, discrepancies) independently checkable.
 
 Small degrees are expanded symbolically with integer coefficients; larger
 ones stay black boxes evaluated through batched numeric Sylvester
-determinants.  Degrees are measured from the constructions and must equal
-2d and 2d - 2.
+determinants.  Degrees are read from the constructions (a black box's
+declared degree is spot-checked when it is built) and must equal 2d and
+2d - 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .polyrep import (
     SparsePolynomial,
     act,
     constant,
-    measured_degree,
 )
 
 logger = logging.getLogger(__name__)
@@ -240,15 +240,11 @@ def rnc_example(d: int) -> VarietyExample:
     """The degree-d rational normal curve (d = 2 is the plane conic)."""
     r = rnc_resultant(d)
     delta = rnc_hyperdiscriminant(d)
-    deg_r = measured_degree(r)
-    deg_delta = measured_degree(delta)
-    if deg_r != d * 2:
-        raise ArithmeticError(f"resultant degree {deg_r} != expected {2 * d}")
-    if deg_delta != 2 * d - 2:
-        raise ArithmeticError(
-            f"hyperdiscriminant degree {deg_delta} != expected {2 * d - 2}")
+    if (r.degree, delta.degree) != (2 * d, 2 * d - 2):
+        raise ArithmeticError(f"form degrees {r.degree}, {delta.degree} != expected "
+                              f"{2 * d}, {2 * d - 2}")
     return VarietyExample(family="rnc", n=1, N=d, d=d, R_X=r, Delta_X=delta,
-                          deg_R=deg_r, deg_Delta=deg_delta)
+                          deg_R=r.degree, deg_Delta=delta.degree)
 
 
 def normalized_pair(example: VarietyExample) -> PairSpec:

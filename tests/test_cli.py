@@ -152,10 +152,20 @@ def test_zeta_command_det_closed_forms(tmp_path):
     assert abs(payload["value"] - 1.0) < 5 * payload["stderr"]
 
 
-def test_height_command_with_audit(capsys):
+def test_height_command_with_audit(monkeypatch, capsys):
+    from stabpair import igusa
+
+    calls, real = [], igusa.height
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(igusa, "height", counted)
     code = run(["height", "--poly", "monomial:1,0", "--samples", "1000",
                 "--audit-bounds"])
     assert code == 0
+    assert len(calls) == 1  # the audit's report is the payload's height
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "closed-form"
     assert payload["h"] == pytest.approx(math.log(2) - 1)
@@ -287,10 +297,26 @@ def test_overflow_error_output_carries_no_numpy_warning(degree):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_readme_commands_exit_zero(tmp_path, monkeypatch):
+    # every command of the README's fenced blocks, with --samples capped at 4,000
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [line.split()[1:] for block in readme.split("```")[1::2]
+                for line in block.splitlines() if line.startswith("stabpair ")]
+    assert len(commands) == 10
+    monkeypatch.setenv("STABPAIR_THREADS", "1")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if "--samples" in argv:
+            i = argv.index("--samples") + 1
+            argv[i] = str(min(int(argv[i]), 4000))
+        assert run(argv) == 0, argv
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["zeta", "--poly", "bogus:1", "--s", "1"]) == 2
     assert run(["zeta", "--poly", "disc:1", "--s", "1"]) == 2  # family needs d >= 2
     assert run(["degeneration", "--d-range", "x:y"]) == 2
+    assert run(["degeneration", "--d-range", "1:200"]) == 2  # deg Delta is 0 at d = 1
     assert run(["discrepancy", "--family", "rnc", "--d", "2"]) == 2  # flag removed
     assert run(["discrepancy", "--d", "1:3"]) == 2
     assert run(["not-a-command"]) == 2

@@ -290,6 +290,28 @@ def test_height_raises_on_non_finite_report():
         height(rnc_hyperdiscriminant(23), samples=4096, seed=0)
 
 
+@pytest.mark.parametrize("estimator, d, field", [
+    (lambda p: mc_moment(p, 1.0, samples=2000, seed=7), 24, "stderr"),
+    (lambda p: mc_moment(p, 1.0, samples=2000, seed=7), 40, "mean"),
+    (lambda p: zeta(p, 1.0, samples=2000, seed=7), 24, "stderr"),
+    (lambda p: zeta(p, 1.0, samples=2000, seed=7), 40, "mean"),
+    (lambda p: zeta_prime_zero(p, samples=2000, seed=7), 40, "Zprime0"),
+    (lambda p: height(p, samples=2000, seed=7), 24, "stderr"),
+    (lambda p: height(p, samples=2000, seed=7), 40, "h"),
+])
+def test_estimators_raise_on_non_finite_results(estimator, d, field):
+    # |P|^2 of disc:24 has a variance past the float range; at disc:40 |P|^2
+    # itself overflows.  The error names the field, and no numpy warning
+    # (an error under the test settings) is raised first.
+    with pytest.raises(OverflowError, match=f"non-finite value .* for '{field}'"):
+        estimator(rnc_hyperdiscriminant(d))
+
+
+def test_log_moments_stay_finite_where_the_moment_overflows():
+    value, stderr = zeta_prime_zero(rnc_hyperdiscriminant(24), samples=2000, seed=7)
+    assert math.isfinite(value) and math.isfinite(stderr)
+
+
 def test_height_resampling_counter():
     # a black box that is exactly zero on a thin slab: resampling finishes
     def ev(b):

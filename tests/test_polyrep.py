@@ -14,15 +14,12 @@ from stabpair.polyrep import (
     MatrixShape,
     OnePSG,
     SparsePolynomial,
-    TorusCharacter,
     act,
     constant,
     determinant_poly,
     evaluate,
     evaluate_batch,
     gaussian_batch,
-    gaussian_sample,
-    measured_degree,
     monomial,
     poly_from_json,
     poly_to_json,
@@ -37,10 +34,6 @@ EULER_GAMMA = 0.5772156649015329
 def disc2():
     # a1^2 - 4 a0 a2 on the 1x3 space
     return SparsePolynomial(MatrixShape(1, 3), {((0, 2, 0),): 1, ((1, 0, 1),): -4})
-
-
-def chars(p):
-    return {c.degrees for c in support(p)}
 
 
 def random_sparse(rng, rows, cols, degree, nterms):
@@ -67,16 +60,20 @@ def test_zero_coefficients_dropped():
 
 def test_support_examples():
     single = monomial(MatrixShape(1, 3), ((1, 0, 0),))
-    assert chars(single) == {(1, 0, 0)}
-    assert chars(disc2()) == {(0, 2, 0), (1, 0, 1)}
+    assert support(single) == {(1, 0, 0)}
+    assert support(disc2()) == {(0, 2, 0), (1, 0, 1)}
     with pytest.raises(ValueError):
         support(SparsePolynomial(MatrixShape(1, 2), {}))
 
 
 def test_character_projection():
-    c = TorusCharacter((0, 2, 0))
-    assert c.projected() == (Fraction(-2, 3), Fraction(4, 3), Fraction(-2, 3))
-    assert c.pair(OnePSG((1, 0, -1))) == 0
+    lam = OnePSG((1, 0, -1))
+    assert lam.pair((0, 2, 0)) == 0
+    assert lam.pair((3, 1, 0)) == 3
+    # lam sums to zero, so a projected character pairs the same
+    assert lam.pair((Fraction(5, 3), Fraction(-1, 3), Fraction(-4, 3))) == 3
+    with pytest.raises(ValueError):
+        lam.pair((1, 0))
 
 
 # -- group action ----------------------------------------------------------------
@@ -134,10 +131,10 @@ def test_act_permutation_covariance_on_support():
     rng = np.random.default_rng(8)
     perm = GroupElement(((0, 1, 0), (0, 0, 1), (1, 0, 0)))  # columns cycled
     p = random_sparse(rng, 2, 3, 4, 5)
-    moved = chars(act(perm, p))
+    moved = support(act(perm, p))
     # substitution sends the column-l variable to the column-m(l) variable with
     # m = {0->2, 1->0, 2->1}, so degrees relocate as c' = (c[1], c[2], c[0])
-    expected = {(c[1], c[2], c[0]) for c in chars(p)}
+    expected = {(c[1], c[2], c[0]) for c in support(p)}
     assert moved == expected
 
 
@@ -299,7 +296,7 @@ def test_homogeneity_numeric():
     rng = np.random.default_rng(12)
     for _ in range(6):
         p = random_sparse(rng, 1, 4, int(rng.integers(1, 5)), 4)
-        a = gaussian_sample(p.shape, rng)
+        a = gaussian_batch(p.shape, 1, rng)[0]
         t = complex(rng.standard_normal() + 1j * rng.standard_normal())
         lhs = evaluate(p, t * a)
         rhs = t ** p.degree * evaluate(p, a)
@@ -311,7 +308,7 @@ def test_determinant_poly_matches_numpy():
     for n in (1, 2, 3):
         p = determinant_poly(n)
         assert len(p.terms) == math.factorial(n)
-        a = gaussian_sample(MatrixShape(n, n), rng)
+        a = gaussian_batch(MatrixShape(n, n), 1, rng)[0]
         assert evaluate(p, a) == pytest.approx(complex(np.linalg.det(a)), rel=1e-10)
 
 
@@ -327,16 +324,16 @@ def test_tensor_support_monomials_add():
     shape = MatrixShape(1, 3)
     a = monomial(shape, ((1, 0, 0),))
     b = monomial(shape, ((0, 0, 2),))
-    assert {c.degrees for c in tensor_support(a, b)} == {(1, 0, 2)}
+    assert tensor_support(a, b) == {(1, 0, 2)}
 
 
 def test_tensor_support_is_pairwise_sums():
     rng = np.random.default_rng(5)
     v = random_sparse(rng, 1, 3, 2, 3)
     w = random_sparse(rng, 1, 3, 3, 3)
-    got = {c.degrees for c in tensor_support(v, w)}
+    got = tensor_support(v, w)
     want = {tuple(x + y for x, y in zip(a, b))
-            for a in chars(v) for b in chars(w)}
+            for a in support(v) for b in support(w)}
     assert got == want
 
 
@@ -358,12 +355,6 @@ def test_blackbox_evaluator_must_return_one_value_per_matrix():
         p.evaluate_batch(np.eye(2, dtype=complex)[None].repeat(3, axis=0))
 
 
-def test_blackbox_measured_degree():
-    p = BlackBoxPolynomial(MatrixShape(2, 2), 2,
-                           evaluator=np.linalg.det)
-    assert measured_degree(p) == 2
-
-
 def test_formal_power_bookkeeping():
     fp = FormalPower(disc2(), 5)
     assert fp.degree == 10
@@ -374,9 +365,9 @@ def test_formal_power_bookkeeping():
 
 
 def test_formal_power_support_is_iterated_sumset():
-    fp = FormalPower(disc2(), 2)
-    got = {c.degrees for c in support(fp)}
-    assert got == {(0, 4, 0), (1, 2, 1), (2, 0, 2)}
+    # never formed: weights and polytopes scale linearly in the exponent
+    with pytest.raises(ValueError, match="formal power"):
+        support(FormalPower(disc2(), 2))
 
 
 # -- Gaussian sampling ---------------------------------------------------------------

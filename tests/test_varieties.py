@@ -77,7 +77,7 @@ def test_resultant_identical_rows_vanishes():
 def test_resultant_symbolic_support_d2():
     r = rnc_resultant(2)
     assert isinstance(r, SparsePolynomial)
-    assert {c.degrees for c in support(r)} == {(2, 0, 2), (1, 2, 1)}
+    assert support(r) == {(2, 0, 2), (1, 2, 1)}
     assert r.degree == 4 and r.has_exact_coefficients()
 
 
