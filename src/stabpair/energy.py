@@ -17,15 +17,15 @@ nu is bounded below exactly when the pair is semistable, and the infimum
 equals log tan^2 of the Fubini-Study distance between the orbit closures
 of [(v, w)] and [(v, 0)] once v and w are scaled to unit length.  Both
 sides of that identity are estimated here, independently, by optimization
-over group parameters; the results are estimates, never certificates.
+over group parameters: L-BFGS on the moment-map gradient, with seeded
+restarts.  The results are estimates, never certificates.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "EnergyReport",
     "PropernessEstimate",
     "OrbitDistanceEstimate",
+    "NuInfimumEstimate",
     "gaussian_norm_sq",
     "log_gaussian_norm_sq",
     "gaussian_inner",
@@ -109,21 +110,12 @@ def gaussian_inner(p: SparsePolynomial, q: SparsePolynomial) -> complex:
 # ---------------------------------------------------------------------------
 
 def _log_norm_ratio(p: AnyPolynomial, sigma: GroupElement, samples: int = 200_000,
-                    seed=0, base_log_norm: Optional[float] = None) -> float:
-    """log(||sigma.P||^2 / ||P||^2), linear through formal powers; a caller
-    acting on P many times passes log ||B||^2 of its base B once computed."""
+                    seed=0) -> float:
+    """log(||sigma.P||^2 / ||P||^2), linear through formal powers."""
     if isinstance(p, FormalPower):
-        return p.exponent * _log_norm_ratio(p.base, sigma, samples, seed, base_log_norm)
-    if base_log_norm is None:
-        base_log_norm = log_gaussian_norm_sq(p, samples=samples, seed=seed)
-    return log_gaussian_norm_sq(act(sigma, p), samples=samples, seed=seed) - base_log_norm
-
-
-def _base_log_norm(p: AnyPolynomial) -> float:
-    """log ||B||^2 of the base B of P (P itself unless a formal power)."""
-    while isinstance(p, FormalPower):
-        p = p.base
-    return log_gaussian_norm_sq(p)
+        return p.exponent * _log_norm_ratio(p.base, sigma, samples, seed)
+    return (log_gaussian_norm_sq(act(sigma, p), samples=samples, seed=seed)
+            - log_gaussian_norm_sq(p, samples=samples, seed=seed))
 
 
 def _logsumexp(arr: np.ndarray) -> float:
@@ -147,18 +139,16 @@ def _ray_log_norm_ratio(p: AnyPolynomial, lam: OnePSG, log_ts: list) -> np.ndarr
 
 
 def _components(sigma: GroupElement, v: AnyPolynomial, w: Optional[AnyPolynomial] = None,
-                ambient: Optional[int] = None, samples: int = 200_000, seed=0,
-                base_log_norms: tuple = (None, None)) -> tuple:
+                ambient: Optional[int] = None, samples: int = 200_000, seed=0) -> tuple:
     """(w log-ratio, v log-ratio, trace term) at sigma, the trace term being
     log(Trace(sigma sigma*)/ambient).  A part whose input (w or ambient) is
-    None is left out as None; `base_log_norms` are those of (w, v), if known."""
-    w_norm, v_norm = base_log_norms
-    w_ratio = None if w is None else _log_norm_ratio(w, sigma, samples, seed, w_norm)
+    None is left out as None."""
+    w_ratio = None if w is None else _log_norm_ratio(w, sigma, samples, seed)
     trace_term = None
     if ambient is not None:
         m = _complex(sigma)
         trace_term = math.log(float(np.real(np.trace(m @ m.conj().T))) / ambient)
-    return w_ratio, _log_norm_ratio(v, sigma, samples, seed, v_norm), trace_term
+    return w_ratio, _log_norm_ratio(v, sigma, samples, seed), trace_term
 
 
 def _ray_components(lam: OnePSG, ts: Sequence[float], v: AnyPolynomial,
@@ -194,12 +184,9 @@ class EnergyReport:
 
 
 def nu_pair(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
-            samples: int = 200_000, seed=0, base_log_norms: tuple = (None, None)) -> float:
-    """nu(sigma) for the pair; exact for sparse data, sampled for black boxes.
-    `base_log_norms` are log ||w||^2 and log ||v||^2 (of the bases of formal
-    powers), when already known."""
-    parts = _components(_group_element(sigma), pair.v, pair.w, samples=samples, seed=seed,
-                        base_log_norms=base_log_norms)
+            samples: int = 200_000, seed=0) -> float:
+    """nu(sigma) for the pair; exact for sparse data, sampled for black boxes."""
+    parts = _components(_group_element(sigma), pair.v, pair.w, samples=samples, seed=seed)
     return _energies(parts)[0]
 
 
@@ -306,7 +293,7 @@ def properness_probe(pair: PairSpec, epsilon: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# optimization over the group: nu infimum and orbit distance
+# optimization over the group: L-BFGS on the moment-map gradient
 # ---------------------------------------------------------------------------
 
 def minimize(*args, **kwargs):
@@ -317,74 +304,173 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _sl2_upper(params) -> np.ndarray:
-    """diag(e^r, e^-r) . [[1, x+iy], [0, 1]]: every nu value on SL(2) is
-    attained here because the left unitary factor drops out of all norms."""
-    r, x, y = params
-    er = math.exp(r)
-    return np.array([[er, er * complex(x, y)], [0.0, 1.0 / er]], dtype=complex)
+def _expm(mat: np.ndarray) -> np.ndarray:
+    from scipy.linalg import expm
+
+    return expm(mat)
 
 
-def _su2(params) -> np.ndarray:
-    th, ph, ps = params
-    a = math.cos(th) * cmath.exp(1j * ph)
-    bb = math.sin(th) * cmath.exp(1j * ps)
-    return np.array([[a, bb], [-bb.conjugate(), a.conjugate()]], dtype=complex)
-
-
-def _sl_exp(params, n: int) -> np.ndarray:
-    """exp of a traceless complex matrix; its closure fills SL(n, C)."""
-    import scipy.linalg as sla
-
+def _sl_exp(params, n: int) -> tuple:
+    """(x, exp(x)) for the traceless complex n x n matrix x whose first
+    n^2 - 1 entries, row by row, are params[:n^2-1] + i params[n^2-1:].  A
+    determinant of exp(x) moved off 1 by rounding is a float failure: norms
+    taken there are noise."""
     half = n * n - 1
-    entries = np.asarray(params[:half]) + 1j * np.asarray(params[half:])
-    mat = np.append(entries, 0).reshape(n, n)
-    mat[n - 1, n - 1] = -np.trace(mat)
-    return sla.expm(mat)
+    x = np.append(np.asarray(params[:half]) + 1j * np.asarray(params[half:]), 0).reshape(n, n)
+    x[n - 1, n - 1] = -np.trace(x)
+    sigma = _expm(x)
+    if not abs(np.linalg.det(sigma) - 1) < 1e-6:
+        raise FloatingPointError("exp(x) lost its unit determinant to rounding")
+    return x, sigma
 
 
-def _nu_param_builder(n: int):
-    if n == 2:
-        return 3, lambda params: _sl2_upper(params)
-    return 2 * (n * n - 1), lambda params: _sl_exp(params, n)
+def _terms(q: SparsePolynomial) -> tuple:
+    """(codes, exponents, coefficients, Gaussian weights, places) of the
+    terms of Q = sigma.P, in code order; P is nonzero, so Q = 0 is underflow.
+    A term's code is its exponent matrix in base degree + 1, one place per
+    entry (Python ints where the largest code would overflow int64)."""
+    if q.is_zero:
+        raise FloatingPointError("sigma.P underflows to zero")
+    places = [(q.degree + 1) ** i for i in range(q.shape.rows * q.shape.cols + 1)]
+    places = np.array(places, dtype=np.int64 if places[-1] < 2 ** 63 else object)
+    places = places[:-1].reshape(q.shape)
+    exps = np.array(list(q.terms), dtype=np.int64).reshape(len(q.terms), *q.shape)
+    codes = (exps * places).sum(axis=(1, 2))
+    order = np.argsort(codes)
+    coeffs = np.fromiter(q.terms.values(), complex, len(order))[order]
+    factorials = np.cumprod(np.maximum(np.arange(q.degree + 1, dtype=float), 1))
+    return codes[order], exps[order], coeffs, factorials[exps[order]].prod(axis=(1, 2)), places
+
+
+def _moment(q_terms: tuple, r_terms: tuple) -> tuple:
+    """(<Q, R>, M), M[k, l] = <D_kl Q, R>, from the `_terms` of Q and R (of
+    one shape and degree).  D_kl = sum over rows of x_{row,k} d/dx_{row,l}
+    is how E_kl acts, so d||(1 + tE).Q||^2/dt = 2 Re sum E_kl M_kl at t = 0
+    when R = Q.  D_kl maps x^a to a_{row,l} x^(a + e_{row,k} - e_{row,l}),
+    a fixed shift of the code, found among R's codes by one sorted search."""
+    codes, exps, coeffs, _, places = q_terms
+    r_codes, _, r_coeffs, r_weights, _ = r_terms
+    count, rows, n = exps.shape
+    shifted = codes[:, None, None, None] + (places[:, :, None] - places[:, None, :])
+    targets = np.concatenate([codes, shifted.ravel()])
+    pos = np.minimum(np.searchsorted(r_codes, targets), len(r_codes) - 1)
+    found = np.where(r_codes[pos] == targets, (np.conj(r_coeffs) * r_weights)[pos], 0)
+    moment = np.einsum("trl,trkl->kl", exps * coeffs[:, None, None],
+                       found[count:].reshape(count, rows, n, n))
+    return coeffs @ found[:count], moment
+
+
+def _pullback(x: np.ndarray, sigma: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Gradient in params, for (x, sigma) = _sl_exp(params, n), of
+    a function whose derivative along (1 + tE) sigma is 2 Re sum E_kl m_kl:
+    G = 2 conj(m) sigma^-H in d sigma = L(x, dx), L the Frechet derivative
+    of exp, pulled back by its adjoint L(x^H, G), the upper right block of
+    exp([[x^H, G], [0, x^H]]) (Higham, "Functions of Matrices", eq. 3.16)."""
+    n = len(x)
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = block[n:, n:] = x.conj().T
+    block[:n, n:] = 2 * np.conj(m) @ np.linalg.inv(sigma).conj().T
+    grad = _expm(block)[:n, n:].ravel()
+    grad = grad[:-1] - np.eye(n).ravel()[:-1] * grad[-1]
+    return np.concatenate([grad.real, grad.imag])
+
+
+def _nu_objective(pair: PairSpec):
+    """params -> (nu, its gradient) at sigma = _sl_exp(params, n)[1].
+
+    A side B^(x)e (e = 1 unless a formal power) adds +-e times the log ratio
+    log(||sigma.B||^2/||B||^2) and the moment map M/||sigma.B||^2 of sigma.B;
+    constants are fixed by the group and add nothing."""
+    n = pair.ambient
+    sides = [(sign * p.exponent, p.base) if isinstance(p, FormalPower) else (sign, p)
+             for sign, p in ((1, pair.w), (-1, pair.v))]
+    if not all(isinstance(b, SparsePolynomial) for _, b in sides):
+        raise ValueError("nu infimum estimation needs sparse pairs or formal powers of them")
+    sides = [(e, b, log_gaussian_norm_sq(b)) for e, b in sides if b.degree > 0]
+
+    def objective(params):
+        x, sigma = _sl_exp(params, n)
+        value, m = 0.0, np.zeros((n, n), dtype=complex)
+        for e, base, log_norm in sides:
+            terms = _terms(act(sigma, base))
+            norm, moment = _moment(terms, terms)
+            value += e * (np.log(norm.real) - log_norm)
+            m += e * moment / norm.real
+        return value, _pullback(x, sigma, m)
+
+    return objective
+
+
+def _overlap_objective(v: SparsePolynomial, w: SparsePolynomial):
+    """params -> (-log overlap, its gradient).  The halves of params give s1
+    and s2 by _sl_exp, and the overlap
+    |<s1.v, s2.v>|^2 / ((||s1.v||^2 + ||s1.w||^2) ||s2.v||^2) is the squared
+    cosine of the distance from [(s1.v, s1.w)] to [(s2.v, 0)]."""
+    n = v.shape.cols
+    half = 2 * (n * n - 1)
+
+    def objective(params):
+        (x1, s1), (x2, s2) = _sl_exp(params[:half], n), _sl_exp(params[half:], n)
+        v1, w1, v2 = (_terms(act(s, p)) for s, p in ((s1, v), (s1, w), (s2, v)))
+        inner, mixed = _moment(v1, v2)
+        (a_v, m_v), (a_w, m_w), (b, m_b) = _moment(v1, v1), _moment(w1, w1), _moment(v2, v2)
+        a, b = (a_v + a_w).real, b.real
+        value = np.log(a) + np.log(b) - np.log(abs(inner) ** 2)
+        # <D_kl s2.v, s1.v> = conj(mixed[l, k]): D_kl and D_lk are adjoint
+        g1 = (m_v + m_w) / a - mixed / inner
+        g2 = m_b / b - mixed.conj().T / np.conj(inner)
+        return value, np.concatenate([_pullback(x1, s1, g1), _pullback(x2, s2, g2)])
+
+    return objective
 
 
 def _restart_points(dim: int, restarts: int, seed) -> list:
     """Deterministic per-restart starting points (independent seed streams,
     so any execution order reproduces the same set)."""
-    seqs = np.random.SeedSequence(seed).spawn(restarts)
-    points = []
-    for sq in seqs:
-        rng = np.random.default_rng(sq)
-        points.append(rng.standard_normal(dim) * rng.uniform(0.2, 1.5))
-    return points
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts))
+    return [rng.standard_normal(dim) * rng.uniform(0.2, 1.5) for rng in rngs]
+
+
+def _descend(objective, dim: int, restarts: int, seed, maxiter: int) -> tuple:
+    """(best value, its params, stabilized): L-BFGS on objective(params) ->
+    (value, gradient) from the identity and each seeded restart point.
+
+    A restart must beat the best by 1e-9, so ties keep the earliest.  A trial
+    point where a float overflows or sigma.P underflows to zero is rejected
+    as +inf, and the line search stops at the last accepted point.  Still
+    improving in the last quarter of the restarts is not stabilized.
+    """
+    def guarded(params):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                return objective(params)
+        except FloatingPointError:
+            return math.inf, np.zeros(dim)
+
+    best, best_params, last_improvement = guarded(np.zeros(dim))[0], np.zeros(dim), 0
+    for idx, start in enumerate(_restart_points(dim, restarts, seed), 1):
+        res = minimize(guarded, start, jac=True, method="L-BFGS-B",
+                       options={"maxiter": maxiter})
+        if res.fun < best - 1e-9:
+            best, best_params, last_improvement = float(res.fun), res.x, idx
+    return best, best_params, last_improvement <= max(1, (3 * restarts) // 4)
+
+
+class NuInfimumEstimate(NamedTuple):
+    value: float
+    sigma: GroupElement
+    stabilized: bool  # False: still improving when the restarts ran out
 
 
 def nu_infimum(pair: PairSpec, restarts: int = 20, seed=0,
-               maxiter: int = 300) -> tuple:
-    """Sampled/descended estimate of inf nu over the group (never a certificate).
-
-    Returns (value, group element at the minimum); ties keep the earliest
-    restart.
-    """
-    dim, build = _nu_param_builder(pair.ambient)
-    norms = (_base_log_norm(pair.w), _base_log_norm(pair.v))
-
-    def objective(params):
-        try:
-            return nu_pair(pair, build(params), base_log_norms=norms)
-        except (ValueError, OverflowError):
-            return math.inf
-
-    best_val = nu_pair(pair, GroupElement.identity(pair.ambient))
-    best_params = np.zeros(dim)
-    for start in _restart_points(dim, restarts, seed):
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-10})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_params = res.x
-    return best_val, GroupElement(build(best_params))
+               maxiter: int = 300) -> NuInfimumEstimate:
+    """Descended estimate of inf nu over the group (never a certificate);
+    sparse pairs and formal powers of them only, as black boxes have neither
+    exact norms nor a gradient."""
+    n = pair.ambient
+    value, params, stabilized = _descend(_nu_objective(pair), 2 * (n * n - 1),
+                                         restarts, seed, maxiter)
+    return NuInfimumEstimate(value, GroupElement(_sl_exp(params, n)[1]), stabilized)
 
 
 @dataclass
@@ -396,73 +482,27 @@ class OrbitDistanceEstimate:
     stabilized: bool = True  # False: still improving when the budget ran out
 
 
-def _unit_scaled(p: SparsePolynomial) -> SparsePolynomial:
-    norm = math.sqrt(gaussian_norm_sq(p))
-    return p * (1.0 / norm)
-
-
 def orbit_distance(pair: PairSpec, restarts: int = 30, seed=0,
                    maxiter: int = 400) -> OrbitDistanceEstimate:
     """Estimated Fubini-Study distance between the orbit closures of
     [(v, w)] and [(v, 0)], with v and w scaled to unit length.
 
-    Minimizes the pairwise point distance over two independent group
-    elements (one moving the pair point, one moving the v-only point) by
-    random restarts and local descent; an estimate from above, never a
-    certificate.  The companion value log tan^2(distance) is the quantity
-    the nu infimum is compared against.
+    Maximizes the overlap over two independent group elements (one moving
+    the pair point, one moving the v-only point); an estimate from above,
+    never a certificate.  The companion value log tan^2(distance) is the
+    quantity the nu infimum is compared against.
     """
     if not isinstance(pair.v, SparsePolynomial) or not isinstance(pair.w, SparsePolynomial):
         raise ValueError("orbit distance estimation needs expanded sparse pairs")
     if pair.ambient > 4:
         raise ValueError("orbit distance optimization is supported for N+1 <= 4")
-    v = _unit_scaled(pair.v)
-    w = _unit_scaled(pair.w)
     n = pair.ambient
-
-    # the v-only point moves as in nu_infimum; at n = 2 the pair point also
-    # needs the unitary factor that nu drops
-    dim1, build1 = dim2, build2 = _nu_param_builder(n)
-    if n == 2:
-        dim1 = 6
-
-        def build1(params):
-            return _su2(params[:3]) @ _sl2_upper(params[3:6])
-
-    def overlap(params):
-        s1 = GroupElement(build1(params[:dim1]))
-        s2 = GroupElement(build2(params[dim1:]))
-        v1 = act(s1, v)
-        w1 = act(s1, w)
-        v2 = act(s2, v)
-        num = abs(gaussian_inner(v1, v2)) ** 2
-        den = ((gaussian_norm_sq(v1) + gaussian_norm_sq(w1))
-               * gaussian_norm_sq(v2))
-        return num / den
-
-    def objective(params):
-        try:
-            return -overlap(params)
-        except (ValueError, OverflowError):
-            return 0.0
-
-    best = overlap(np.zeros(dim1 + dim2))
-    last_improvement = 0
-    for idx, start in enumerate(_restart_points(dim1 + dim2, restarts, seed)):
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-12})
-        if -res.fun > best + 1e-9:
-            best = -float(res.fun)
-            last_improvement = idx + 1
-    best = min(max(best, 0.0), 1.0)
+    objective = _overlap_objective(*(p * (1.0 / math.sqrt(gaussian_norm_sq(p)))
+                                     for p in (pair.v, pair.w)))
+    value, _, stabilized = _descend(objective, 4 * (n * n - 1), restarts, seed, maxiter)
+    best = min(max(math.exp(-value), 0.0), 1.0)
     distance = math.acos(math.sqrt(best))
-    if distance == 0.0:
-        log_tan_sq = -math.inf
-    else:
-        log_tan_sq = 2.0 * math.log(math.tan(distance))
-    # an estimate still moving in the final quarter of the budget has not
-    # stabilized; report it rather than fail
-    stabilized = last_improvement <= max(1, (3 * restarts) // 4)
+    log_tan_sq = -math.inf if distance == 0.0 else 2.0 * math.log(math.tan(distance))
     return OrbitDistanceEstimate(distance=distance, log_tan_sq=log_tan_sq,
                                  restarts=restarts, best_overlap=best,
                                  stabilized=stabilized)

@@ -191,8 +191,8 @@ def test_criterion_5_orbit_distance_identity():
     details = []
     ok = True
     for idx, (name, pair) in enumerate(pairs):
-        inf_nu, _ = energy.nu_infimum(pair, restarts=20, seed=500 + idx,
-                                      maxiter=300)
+        inf_nu, _, _ = energy.nu_infimum(pair, restarts=20, seed=500 + idx,
+                                         maxiter=300)
         est = energy.orbit_distance(pair, restarts=25, seed=600 + idx,
                                     maxiter=350)
         gap = abs(inf_nu - est.log_tan_sq)

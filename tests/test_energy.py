@@ -1,11 +1,19 @@
 """Energy functionals: norms, nu, J, rays, properness, orbit distance."""
 
+import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from stabpair.energy import (
+    _moment,
+    _nu_objective,
+    _overlap_objective,
+    _sl_exp,
+    _terms,
     energy_report,
     gaussian_inner,
     gaussian_norm_sq,
@@ -25,6 +33,7 @@ from stabpair.polyrep import (
     MatrixShape,
     OnePSG,
     SparsePolynomial,
+    act,
     constant,
     determinant_poly,
     monomial,
@@ -287,7 +296,7 @@ def test_properness_survives_for_interior_mumford_pair():
 def test_nu_infimum_reflexive_pair_is_zero():
     v = binary([1, 0, 1])
     pair = PairSpec.of(v, v)
-    val, sigma = nu_infimum(pair, restarts=5, seed=2, maxiter=150)
+    val, sigma, _ = nu_infimum(pair, restarts=5, seed=2, maxiter=150)
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
@@ -295,8 +304,9 @@ def test_nu_infimum_shifted_quadratic():
     # (1, z0^2 + z0 z1): the orbit of w reaches +-z0 z1 of squared norm 1,
     # down from ||w||^2 = 3, so inf nu = -log 3
     pair = PairSpec.of(constant(S12, 1), binary([1, 1, 0]))
-    val, sigma = nu_infimum(pair, restarts=20, seed=4, maxiter=300)
+    val, sigma, stabilized = nu_infimum(pair, restarts=20, seed=4, maxiter=300)
     assert val == pytest.approx(-math.log(3.0), abs=5e-3)
+    assert stabilized
 
 
 def test_orbit_distance_equal_norm_pair():
@@ -323,7 +333,130 @@ def test_orbit_distance_same_orbit_collapses():
 
 def test_inf_nu_vs_distance_consistency():
     pair = PairSpec.of(constant(S12, 1), binary([1, 1, 0]))
-    val, _ = nu_infimum(pair, restarts=15, seed=11, maxiter=300)
+    val, _, _ = nu_infimum(pair, restarts=15, seed=11, maxiter=300)
     est = orbit_distance(pair, restarts=15, seed=12, maxiter=300)
     assert val >= est.log_tan_sq - 0.2
     assert abs(val - est.log_tan_sq) < 0.1
+
+
+def test_nu_infimum_unbounded_below_stays_finite():
+    # (1, z0^2) is destabilized: nu = -4t along diag(e^-t, e^t), so descent
+    # runs until sigma.P overflows or underflows; such trial points are
+    # rejected, without an exception or a warning
+    pair = PairSpec.of(constant(S12, 1), monomial(S12, ((2, 0),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = nu_infimum(pair, restarts=5, seed=0, maxiter=150)
+    assert math.isfinite(est.value)
+    assert est.value <= -10
+
+
+def test_nu_infimum_rejects_black_boxes():
+    from stabpair.polyrep import BlackBoxPolynomial
+
+    bb = BlackBoxPolynomial(MatrixShape(2, 2), 2, evaluator=np.linalg.det)
+    one = constant(MatrixShape(2, 2), 1)
+    for pair in (PairSpec.of(one, bb), PairSpec.of(one, FormalPower(bb, 2))):
+        with pytest.raises(ValueError, match="sparse"):
+            nu_infimum(pair, restarts=1)
+
+
+def test_nu_infimum_raises_errors_that_are_not_numerical():
+    # a pair whose ambient dimension disagrees with its polynomials is a
+    # usage error, not a trial point to reject
+    pair = dataclasses.replace(PairSpec.of(constant(S12, 1), binary([1, 1, 0])), ambient=3)
+    with pytest.raises(ValueError, match="column count"):
+        nu_infimum(pair, restarts=1)
+
+
+# -- analytic gradients ----------------------------------------------------------
+
+def _random_form(rng, shape, degree, exact):
+    """Four random terms of the given degree in every row."""
+    terms = {}
+    for _ in range(4):
+        exps = rng.multinomial(degree, np.ones(shape.cols) / shape.cols, size=shape.rows)
+        terms[tuple(map(tuple, exps))] = (Fraction(int(rng.integers(1, 5)), 3) if exact
+                                          else complex(*rng.standard_normal(2)))
+    return SparsePolynomial(shape, terms)
+
+
+def _assert_gradient(objective, params, step=1e-6):
+    """The analytic gradient against central differences, relative error <= 1e-6."""
+    grad = objective(params)[1]
+    want = np.zeros_like(params)
+    for i in range(len(params)):
+        e = np.zeros_like(params)
+        e[i] = step
+        want[i] = (objective(params + e)[0] - objective(params - e)[0]) / (2 * step)
+    assert np.abs(grad - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def _moved(a, row, k, l):
+    """The exponent matrix a with one unit moved from column l to column k in `row`."""
+    b = [list(x) for x in a]
+    b[row][l] -= 1
+    b[row][k] += 1
+    return tuple(map(tuple, b))
+
+
+@pytest.mark.parametrize("shape, degree", [(S13, 4), (MatrixShape(2, 11), 10)])
+def test_moment_matches_term_by_term_reference(shape, degree):
+    # <D_kl Q, R> summed over terms and rows.  Q holds a monomial and all its
+    # one-unit moves, so many D_kl images are terms of R; at 2 x 11 and total
+    # degree 20 the term codes outgrow int64 and run on Python ints
+    from stabpair.polyrep import _monomial_weight
+
+    rng = np.random.default_rng(degree)
+    base = tuple(map(tuple, rng.multinomial(degree, np.ones(shape.cols) / shape.cols,
+                                            size=shape.rows)))
+    moves = list(np.ndindex(shape.rows, shape.cols, shape.cols))
+    q = SparsePolynomial(shape, {_moved(base, *m): complex(*rng.standard_normal(2))
+                                 for m in moves if base[m[0]][m[2]]})
+    r = SparsePolynomial(shape, {a: c * (1 + 0.5j) + 0.1 for a, c in q.terms.items()})
+    want = np.zeros((shape.cols, shape.cols), dtype=complex)
+    for a, c in q.terms.items():
+        for row, k, l in moves:
+            b = _moved(a, row, k, l)
+            if a[row][l] and b in r.terms:
+                want[k, l] += a[row][l] * c * complex(r.terms[b]).conjugate() * _monomial_weight(b)
+    inner, moment = _moment(_terms(q), _terms(r))
+    assert inner == pytest.approx(gaussian_inner(q, r), rel=1e-12)
+    assert np.abs(moment - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("shape", [S12, S13, MatrixShape(2, 4)])
+def test_log_norm_gradient_matches_central_differences(shape, exact):
+    # nu of (1, P) is log ||sigma.P||^2 less a constant; nu_pair, which sums
+    # the norms term by term, is the reference for the value
+    rng = np.random.default_rng(shape.rows * 10 + shape.cols)
+    pair = PairSpec.of(constant(shape, 1), _random_form(rng, shape, 2, exact))
+    params = 0.5 * rng.standard_normal(2 * (shape.cols ** 2 - 1))
+    objective = _nu_objective(pair)
+    want = nu_pair(pair, _sl_exp(params, shape.cols)[1])
+    assert objective(params)[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    _assert_gradient(objective, params)
+
+
+def test_nu_gradient_scales_through_formal_powers():
+    rng = np.random.default_rng(17)
+    v, w = _random_form(rng, S13, 2, False), _random_form(rng, S13, 3, True)
+    pair = PairSpec.of(FormalPower(v, 3), FormalPower(w, 2))
+    _assert_gradient(_nu_objective(pair), 0.5 * rng.standard_normal(16))
+
+
+@pytest.mark.parametrize("shape", [S12, S13])
+def test_overlap_gradient_matches_central_differences(shape):
+    rng = np.random.default_rng(shape.cols)
+    v, w = _random_form(rng, shape, 2, False), _random_form(rng, shape, 3, True)
+    half = 2 * (shape.cols ** 2 - 1)
+    params = 0.5 * rng.standard_normal(2 * half)
+    objective = _overlap_objective(v, w)
+    # the reference overlap, from gaussian_inner and gaussian_norm_sq
+    s1, s2 = _sl_exp(params[:half], shape.cols)[1], _sl_exp(params[half:], shape.cols)[1]
+    v1, w1, v2 = act(s1, v), act(s1, w), act(s2, v)
+    overlap = abs(gaussian_inner(v1, v2)) ** 2 / (
+        (gaussian_norm_sq(v1) + gaussian_norm_sq(w1)) * gaussian_norm_sq(v2))
+    assert objective(params)[0] == pytest.approx(-math.log(overlap), rel=1e-12)
+    _assert_gradient(objective, params)
