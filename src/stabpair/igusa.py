@@ -180,13 +180,14 @@ def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
         x = sq if s == 1.0 else sq ** s
         y = np.log(sq) if need_log else np.zeros(0)
         k = min(top_k, count)
+        mx, my = x.mean(), y.mean() if need_log else 0.0
         return _ShardStats(
             n=count,
-            mean_x=float(x.mean()),
-            mean_y=float(y.mean()) if need_log else 0.0,
-            m2x=float(((x - x.mean()) ** 2).sum()),
-            m2y=float(((y - y.mean()) ** 2).sum()) if need_log else 0.0,
-            cxy=float(((x - x.mean()) * (y - y.mean())).sum()) if need_log else 0.0,
+            mean_x=float(mx),
+            mean_y=float(my),
+            m2x=float(((x - mx) ** 2).sum()),
+            m2y=float(((y - my) ** 2).sum()) if need_log else 0.0,
+            cxy=float(((x - mx) * (y - my)).sum()) if need_log else 0.0,
             top=np.partition(x, count - k)[-k:] if k else np.empty(0),
             resampled=resampled,
         )

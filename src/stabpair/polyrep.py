@@ -25,8 +25,8 @@ Large resultants and hyperdiscriminants are never expanded; they enter as
 black-box polynomials (one evaluator mapping a (count, rows, cols) stack to
 count values, with a declared degree that is spot-checked for homogeneity),
 and formal tensor powers defer to linearity rules for weights, polytopes
-and log-norms.  Sparse polynomials evaluate through one term loop; for both
-kinds a single point is a batch of one.
+and log-norms.  Sparse polynomials evaluate through one term loop over
+cache-sized sample chunks; for both kinds a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 ExponentMatrix = tuple  # tuple of row tuples of nonnegative ints
+EVALUATION_CHUNK = 4096  # samples per chunk of sparse batch evaluation
 
 
 class MatrixShape(NamedTuple):
@@ -188,6 +189,8 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._check_compatible(other)
+        if self.terms and other.terms and self.degree != other.degree:
+            raise ValueError(f"non-homogeneous sum of degrees {self.degree}, {other.degree}")
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps, 0) + c
@@ -196,11 +199,11 @@ class SparsePolynomial:
             else:
                 out[exps] = s
         deg = self.degree if self.terms or not other.terms else other.degree
-        return SparsePolynomial(self.shape, out, deg)
+        return SparsePolynomial._trusted(self.shape, out, deg)
 
     def __neg__(self):
-        return SparsePolynomial(self.shape, {e: -c for e, c in self.terms.items()},
-                                self.degree)
+        return SparsePolynomial._trusted(self.shape, {e: -c for e, c in self.terms.items()},
+                                         self.degree)
 
     def __sub__(self, other):
         if not isinstance(other, SparsePolynomial):
@@ -221,8 +224,8 @@ class SparsePolynomial:
                         out.pop(key, None)
                     else:
                         out[key] = s
-            return SparsePolynomial(self.shape, out, self.degree + other.degree)
-        # scalar
+            return SparsePolynomial._trusted(self.shape, out, self.degree + other.degree)
+        # scalar: a float product can underflow to zero, so the terms are checked
         if other == 0:
             return SparsePolynomial(self.shape, {}, self.degree)
         return SparsePolynomial(self.shape,
@@ -236,12 +239,13 @@ class SparsePolynomial:
     def _term_sum(self, x, total, cast):
         """total + sum of cast(coeff) * prod x[i][j] ** e over the terms, where
         x[i][j] is a strided sample column (batch) or a Fraction (exact)."""
+        power = lru_cache(maxsize=None)(lambda i, j, e: x[i][j] ** e)  # each x_ij^e once
         for exps, coeff in self.terms.items():
             term = cast(coeff)
             for i, row in enumerate(exps):
                 for j, e in enumerate(row):
                     if e:
-                        term = term * (x[i][j] if e == 1 else x[i][j] ** e)
+                        term = term * power(i, j, e)
             total += term
         return total
 
@@ -255,13 +259,17 @@ class SparsePolynomial:
         return complex(self.evaluate_batch(a[None])[0])
 
     def evaluate_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Vectorized values on a (count, rows, cols) stack of matrices."""
+        """Vectorized values on a (count, rows, cols) stack of matrices, over
+        chunks of EVALUATION_CHUNK samples whose powers stay in cache."""
         batch = np.asarray(batch, dtype=complex)
         if batch.ndim != 3 or batch.shape[1:] != tuple(self.shape):
             raise ValueError("batch shape mismatch")
-        count = batch.shape[0]
-        return self._term_sum(np.moveaxis(batch, 0, -1), np.zeros(count, dtype=complex),
-                              lambda c: np.full(count, complex(c), dtype=complex))
+        out = np.empty(len(batch), dtype=complex)
+        for lo in range(0, len(out), EVALUATION_CHUNK):
+            x = np.moveaxis(batch[lo:lo + EVALUATION_CHUNK], 0, -1)
+            out[lo:lo + EVALUATION_CHUNK] = self._term_sum(
+                x, np.zeros(x.shape[-1], dtype=complex), complex)
+        return out
 
     __call__ = evaluate
 

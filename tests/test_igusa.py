@@ -128,6 +128,13 @@ def test_moment_deterministic_across_threads():
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
+def test_blackbox_height_deterministic_across_threads():
+    # three shards of the Bezout black box disc:8, merged in shard order
+    one = height(rnc_hyperdiscriminant(8), samples=140_000, seed=9, threads=1)
+    two = height(rnc_hyperdiscriminant(8), samples=140_000, seed=9, threads=2)
+    assert (one.h, one.stderr) == (two.h, two.stderr)
+
+
 def test_moment_heavy_tail_warning():
     est = mc_moment(z0(2), 6.0, samples=100_000, seed=8)
     assert est.tail_warning and est.tail_share > 0.2

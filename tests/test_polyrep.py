@@ -27,6 +27,7 @@ from stabpair.polyrep import (
     support,
     tensor_support,
 )
+from stabpair.varieties import rnc_resultant
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -51,6 +52,14 @@ def random_sparse(rng, rows, cols, degree, nterms):
 def test_homogeneity_enforced():
     with pytest.raises(ValueError):
         SparsePolynomial(MatrixShape(1, 2), {((1, 0),): 1, ((1, 1),): 1})
+
+
+def test_sum_of_different_degrees_rejected():
+    shape = MatrixShape(1, 2)
+    with pytest.raises(ValueError):
+        monomial(shape, ((1, 0),)) + monomial(shape, ((1, 1),))
+    # the zero polynomial adds to any degree
+    assert (SparsePolynomial(shape, {}) + monomial(shape, ((1, 1),))).degree == 2
 
 
 def test_zero_coefficients_dropped():
@@ -290,6 +299,19 @@ def test_evaluate_batch_matches_pointwise():
     vals = evaluate_batch(p, batch)
     for i in range(0, 32, 7):
         assert vals[i] == evaluate(p, batch[i])
+
+
+def test_evaluate_batch_is_chunk_invariant():
+    # res:4 on 10,000 samples spans three chunks; a window across the first
+    # chunk boundary, evaluated by itself, gives the same bits
+    p = rnc_resultant(4)
+    batch = gaussian_batch(p.shape, 10_000, np.random.default_rng(21))
+    vals = evaluate_batch(p, batch)
+    edge = polyrep.EVALUATION_CHUNK
+    window = slice(edge - 700, edge + 900)
+    assert vals[window].tobytes() == evaluate_batch(p, batch[window]).tobytes()
+    assert vals[edge - 1] == evaluate(p, batch[edge - 1])
+    assert vals[edge] == evaluate(p, batch[edge])
 
 
 def test_homogeneity_numeric():

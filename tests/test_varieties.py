@@ -24,6 +24,9 @@ from stabpair.polyrep import (
     support,
 )
 from stabpair.varieties import (
+    BEZOUT_STACK_BYTES,
+    _bezout_resultant,
+    _derivative_coeffs,
     binary_form_mul,
     discrepancy_table,
     normalized_pair,
@@ -131,6 +134,20 @@ def test_discriminant_normalization_leading_one():
         assert disc.terms[lead_key] == 1
 
 
+def test_symbolic_forms_equal_a_validated_construction(monkeypatch):
+    # sums and products return unchecked; routed through the validating
+    # constructor instead, they build the same polynomials
+    def build():
+        return ([rnc_resultant(d) for d in (2, 3, 4)]
+                + [rnc_hyperdiscriminant(d) for d in (2, 3, 4, 5)])
+
+    fast = build()
+    monkeypatch.setattr(SparsePolynomial, "_trusted", classmethod(
+        lambda cls, shape, terms, degree: cls(shape, terms, degree)))
+    for p, q in zip(fast, build()):
+        assert p == q and p.degree == q.degree and list(p.terms) == list(q.terms)
+
+
 def test_symbolic_blackbox_boundaries():
     assert isinstance(rnc_resultant(4), SparsePolynomial)
     assert isinstance(rnc_resultant(5), BlackBoxPolynomial)
@@ -146,24 +163,60 @@ def test_symbolic_and_blackbox_agree_at_random_points():
         sym = rnc_resultant(d)
         batch = gaussian_batch(MatrixShape(2, d + 1), 100, rng)
         sym_vals = sym.evaluate_batch(batch)
-        from stabpair.varieties import _numeric_sylvester_det
-
-        det_vals = _numeric_sylvester_det(batch[:, 0, :], batch[:, 1, :])
+        det_vals = _bezout_resultant(batch[:, 0, :], batch[:, 1, :])
         scale = np.maximum(np.abs(det_vals), 1e-30)
         assert np.max(np.abs(sym_vals - det_vals) / scale) < 1e-9
 
 
-def test_sylvester_stack_is_built_in_slices(monkeypatch):
+def sylvester_det(fs, gs):
+    """Reference: batched determinant of the full Sylvester matrix of the
+    coefficient rows fs (batch, df+1) and gs (batch, dg+1)."""
+    df, dg = fs.shape[1] - 1, gs.shape[1] - 1
+    m = np.zeros((len(fs), df + dg, df + dg), dtype=complex)
+    for i in range(dg):
+        m[:, i, i:i + df + 1] = fs
+    for i in range(df):
+        m[:, dg + i, i:i + dg + 1] = gs
+    return np.linalg.det(m)
+
+
+def assert_close_to_sylvester(vals, fs, gs):
+    want = sylvester_det(fs, gs)
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-10
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_bezout_resultant_matches_sylvester(d):
+    # the sign (-1)^(n(n-1)/2) included: res:d at n = d
+    batch = gaussian_batch(MatrixShape(2, d + 1), 200, np.random.default_rng(40 + d))
+    fs, gs = batch[:, 0, :], batch[:, 1, :]
+    assert_close_to_sylvester(_bezout_resultant(fs, gs), fs, gs)
+    if d > 4:
+        assert_close_to_sylvester(rnc_resultant(d).evaluate_batch(batch), fs, gs)
+
+
+@pytest.mark.parametrize("d", range(3, 25))
+def test_bezout_hyperdiscriminant_matches_sylvester(d):
+    # the resultant of the two partials, at n = d - 1, with weighted columns
+    a = gaussian_batch(MatrixShape(1, d + 1), 200, np.random.default_rng(70 + d))
+    ds, dt = _derivative_coeffs(a[:, 0, :].T, d)
+    fs, gs = np.array(ds).T, np.array(dt).T
+    weights = _derivative_coeffs([1] * (d + 1), d)
+    assert_close_to_sylvester(_bezout_resultant(a[:, 0, :d], a[:, 0, 1:], weights), fs, gs)
+    if d > 5:
+        assert_close_to_sylvester(rnc_hyperdiscriminant(d).evaluate_batch(a), fs, gs)
+
+
+def test_bezout_stack_is_built_in_slices(monkeypatch):
     # one 65,536-sample shard of disc:12 never factors more than the byte
     # budget at once, and slicing changes no determinant by a single bit
-    from stabpair.varieties import SYLVESTER_STACK_BYTES
-
     det = np.linalg.det
     calls = []
 
     def recording_det(m):
         calls.append(m.shape[0])
-        assert m.nbytes <= SYLVESTER_STACK_BYTES
+        assert m.nbytes <= BEZOUT_STACK_BYTES
         return det(m)
 
     disc = rnc_hyperdiscriminant(12)
@@ -382,7 +435,5 @@ def test_poly_det_matches_numeric():
     sym = poly_det(_sylvester_rows(a, b, shape))
     for _ in range(10):
         arr = rng.standard_normal((2, d + 1)) + 1j * rng.standard_normal((2, d + 1))
-        from stabpair.varieties import _numeric_sylvester_det
-
-        want = _numeric_sylvester_det(arr[None, 0, :], arr[None, 1, :])[0]
+        want = _bezout_resultant(arr[None, 0, :], arr[None, 1, :])[0]
         assert evaluate(sym, arr) == pytest.approx(want, rel=1e-9)
