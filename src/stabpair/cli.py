@@ -105,6 +105,17 @@ def _evaluable_poly(spec: str):
     return poly
 
 
+def _symbolic(spec: str, *polys) -> None:
+    """Refuse black boxes in the exact commands, which read supports."""
+    for poly in polys:
+        base = poly.base if isinstance(poly, polyrep.FormalPower) else poly
+        if isinstance(base, polyrep.BlackBoxPolynomial):
+            raise CLIUsageError(
+                f"{spec!r}: {base.name} is a black box without an exact support; exact "
+                f"commands take res:d for d <= {varieties.SYMBOLIC_RESULTANT_LIMIT} and "
+                f"disc:d for d <= {varieties.SYMBOLIC_DISCRIMINANT_LIMIT}")
+
+
 def _int_arg(text: str, spec: str) -> int:
     try:
         return int(text)
@@ -281,6 +292,7 @@ def _fields(obj, names: str) -> dict:
 
 def _cmd_polytope(args) -> int:
     poly = parse_poly_spec(args.poly)
+    _symbolic(args.poly, poly)
     wp = pairstab.weight_polytope(poly)
     payload = {
         "schema": SCHEMA,
@@ -294,6 +306,7 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_semistable(args) -> int:
     pair = parse_pair_spec(args.pair)
+    _symbolic(args.pair, pair.v, pair.w)
     verdict = pairstab.semistable_probe(pair, trials=args.trials, rng_seed=args.seed)
     payload = {
         "schema": SCHEMA,
@@ -324,6 +337,7 @@ def _cmd_semistable(args) -> int:
 
 def _cmd_stable_search(args) -> int:
     pair = parse_pair_spec(args.pair)
+    _symbolic(args.pair, pair.v, pair.w)
     m = pairstab.stable_search(pair, q=args.q, m_max=args.m_max, scheme=args.scheme,
                                probe_trials=args.probe_trials, rng_seed=args.seed)
     payload = {"schema": SCHEMA, "pair": args.pair, "exponent": m,
@@ -513,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("stable-search", _cmd_stable_search, "twist exponent search", ("seed",))
     p.add_argument("--pair", required=True)
     p.add_argument("--q", type=_at_least(1), required=True)
-    p.add_argument("--m-max", type=int, default=50)
+    p.add_argument("--m-max", type=_at_least(1), default=50)
     p.add_argument("--scheme", choices=["m:m+1", "m-1:m"], default="m:m+1")
     p.add_argument("--probe-trials", type=_at_least(0), default=0)
 

@@ -1,44 +1,27 @@
 """Exact rational polytope kernel for weight-polytope computations.
 
-Everything in this module runs on `fractions.Fraction` and Python ints:
-hulls, halfspace descriptions, containment, Minkowski sums and support
-minima are all exact.  Containment verdicts feed stability certificates, so
-there is no floating point and no epsilon anywhere in this module.
+Everything here runs on `fractions.Fraction` and Python ints.  Containment
+verdicts read these facets and feed stability certificates, so there is no
+floating point and no epsilon anywhere in this module.
 
 Points are plain tuples of Fractions.  A polytope keeps its generating
-points and finds its vertices only when its vertices or facets are read;
-vertices come from an exact prefilter (lexicographically first minimizers of
-fixed directions) with LPs for the rest.  Polytopes may be degenerate
-(lower-dimensional); the halfspace description then carries equality
-constraints cutting out the affine hull alongside the facet inequalities.
-Dimensions stay small (<= ~8), which keeps direct facet enumeration and a
-tiny exact simplex entirely adequate.
+points until its vertices or facets are read; one incremental
+double-description pass then finds both.  Polytopes may be degenerate
+(lower-dimensional); the halfspace description then carries equalities
+cutting out the affine hull alongside the facet inequalities.  `_rref` is
+the one exact linear-algebra kernel.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-LatticePoint = tuple  # tuple[Fraction, ...]; fixed length within one context
-
-__all__ = [
-    "LatticePoint",
-    "LatticePolytope",
-    "convex_hull",
-    "contains",
-    "minkowski_sum",
-    "dilate",
-    "support_min",
-    "polytope_to_json",
-    "polytope_from_json",
-]
+__all__ = ["LatticePolytope", "convex_hull", "dilate"]
 
 
-def as_point(coords: Iterable) -> LatticePoint:
+def as_point(coords: Iterable) -> tuple:
     """Coerce a sequence of numbers to an exact rational point."""
     return tuple(Fraction(c) for c in coords)
 
@@ -47,12 +30,12 @@ def as_point(coords: Iterable) -> LatticePoint:
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def _dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def _dot(u: Sequence, v: Sequence):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def _pivot(rows: list, r: int, col: int) -> None:
@@ -116,57 +99,88 @@ def _primitive(vec: Sequence) -> tuple:
     return tuple(a // g for a in ints)
 
 
-def _canonical_sign(vec: tuple) -> tuple:
-    """Flip sign so the first nonzero entry is positive (for dedup keys)."""
-    for a in vec:
-        if a != 0:
-            return vec if a > 0 else tuple(-x for x in vec)
-    return vec
-
-
 # ---------------------------------------------------------------------------
-# exact feasibility LP (phase-1 simplex, Bland's rule)
+# the hull: double description on integer points
 # ---------------------------------------------------------------------------
 
-def _lp_feasible(A: list, b: list) -> bool:
-    """Exact feasibility of {x >= 0 : A x = b} over the rationals.
+def _affine_basis(points: list, indices: Iterable, size: int) -> list:
+    """The lexicographically first affinely independent indices, at most `size`.
 
-    The tableau holds the m constraint rows (structural columns, one
-    artificial column per row, right-hand side) and, as its last row, the
-    phase-1 objective, so one pivot step updates both.
+    Greedy in index order, which the affine matroid makes lex-first.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    tab = []
-    for i in range(m):
-        sign = 1 if b[i] >= 0 else -1
-        row = [sign * Fraction(a) for a in A[i]] + [Fraction(0)] * m + [sign * Fraction(b[i])]
-        row[n + i] = Fraction(1)
-        tab.append(row)
-    tab.append([sum(col, Fraction(0)) for col in zip(*tab)])
-    basis = list(range(n, n + m))
-    while (enter := next((j for j in range(n) if tab[m][j] > 0), None)) is not None:
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:  # pragma: no cover - phase-1 objective is bounded
-            raise ArithmeticError("unbounded phase-1 simplex")
-        _pivot(tab, leave, enter)
-        basis[leave] = enter
-    return tab[m][-1] == 0
+    basis, rows = [], []
+    for i in indices:
+        if len(basis) == size:
+            break
+        if basis:
+            row = _sub(points[i], points[basis[0]])
+            if len(_rref(rows + [row], len(row))[1]) == len(rows):
+                continue
+            rows.append(row)
+        basis.append(i)
+    return basis
 
 
-def _point_in_hull(point: Sequence, points: list) -> bool:
-    """Exact test for `point` in conv(points)."""
-    if not points:
-        return False
-    A = [[p[i] for p in points] for i in range(len(point))] + [[1] * len(points)]
-    return _lp_feasible(A, list(point) + [1])
+def _hull(points: Sequence) -> tuple:
+    """(vertices, (equalities, facets)) of a sorted, deduplicated point list.
+
+    Double description on the points scaled to integers.  The r-dimensional
+    hull is seeded with the first r + 1 affinely independent points; each
+    further point joins the incidence set of every facet it lies on and
+    replaces the facets it lies beyond, each adjacent pair f (the point
+    outside, a < 0) and g (inside, b > 0) making the facet b*f - a*g through
+    their ridge and the point.  Incidence sets are bitmasks; f and g are
+    adjacent when they share r - 1 points that no third facet holds.  A
+    vertex is a point the facets through it meet in alone.  Facets come in
+    the order of their lexicographically first r independent vertices.
+    """
+    dim, n = len(points[0]), len(points)
+    scale = lcm(*(c.denominator for p in points for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+    seed = _affine_basis(ints, range(n), dim + 1)
+    # primitive, first nonzero entry positive
+    normals = [_primitive(v) for v in
+               _nullspace([_sub(ints[i], ints[seed[0]]) for i in seed[1:]], dim)]
+    normals = [v if next(filter(None, v)) > 0 else tuple(-a for a in v) for v in normals]
+    equalities = tuple((v, _dot(v, points[0])) for v in normals)
+    r = len(seed) - 1
+    if r == 0:
+        return tuple(points), (equalities, ())
+    facets = []  # (normal, offset, incidence mask) over the integer points
+    for i in seed:
+        on = [j for j in seed if j != i]
+        u = _primitive(_nullspace([_sub(ints[j], ints[on[0]]) for j in on[1:]] + normals, dim)[0])
+        sign = 1 if _dot(u, ints[i]) > _dot(u, ints[on[0]]) else -1
+        facets.append((tuple(sign * a for a in u), sign * _dot(u, ints[on[0]]),
+                       sum(1 << j for j in on)))
+    for j in sorted(set(range(n)) - set(seed)):
+        sides = [_dot(u, ints[j]) - c for u, c, _z in facets]
+        cone = []
+        for f, a in zip(facets, sides):
+            for g, b in zip(facets, sides):
+                common = f[2] & g[2]
+                if a < 0 < b and common.bit_count() >= r - 1 and not any(
+                        h is not f and h is not g and common & ~h[2] == 0 for h in facets):
+                    u = tuple(b * p - a * q for p, q in zip(f[0], g[0]))
+                    k = gcd(*u)
+                    cone.append((tuple(v // k for v in u), (b * f[1] - a * g[1]) // k,
+                                 common | 1 << j))
+        facets = [(u, c, z | 1 << j if s == 0 else z)
+                  for (u, c, z), s in zip(facets, sides) if s >= 0] + cone
+    meet = [(1 << n) - 1] * n
+    for _u, _c, z in facets:
+        for j in _bits(z):
+            meet[j] &= z
+    vertices = sum(1 << j for j in range(n) if meet[j] == 1 << j)
+    keyed = sorted((_affine_basis(ints, _bits(z & vertices), r), u, Fraction(c, scale))
+                   for u, c, z in facets)
+    return (tuple(points[j] for j in _bits(vertices)),
+            (equalities, tuple((u, c) for _key, u, c in keyed)))
+
+
+def _bits(mask: int) -> list:
+    """The indices of the set bits of `mask`, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +190,17 @@ def _point_in_hull(point: Sequence, points: list) -> bool:
 class LatticePolytope:
     """Convex hull of finitely many rational points.
 
-    Holds its deduplicated, sorted generators until `vertices` is first
-    read; the vertices then replace them, so memory does not grow.
-    `contains` (on its inner argument), `support_min`, `minkowski_sum` and
-    `dilate` are exact over any generating set and never hull; `vertices`,
-    `halfspaces()` (equalities of the affine hull plus facet inequalities,
-    in ambient coordinates), `==`, hashing and JSON do.  Both caches are
-    idempotent and either generating set is valid while one fills, so
-    instances are safe to share across threads.
+    Holds its deduplicated, sorted generators until `vertices` or
+    `halfspaces()` is first read; one `_hull` pass then fills both, and the
+    vertices replace the generators, so memory does not grow.  `dilate`
+    never hulls; `==` and hashing do.  Both caches fill together and either
+    generating set is valid while they do, so instances are safe to share
+    across threads.
     """
 
-    __slots__ = ("dim", "_points", "_hulled", "_halfspaces")
+    __slots__ = ("dim", "_points", "_halfspaces")
 
-    def __init__(self, points: Sequence[LatticePoint], *, _known_extreme: bool = False):
+    def __init__(self, points: Sequence, *, _halfspaces=None):
         pts = [as_point(p) for p in points]
         if not pts:
             raise ValueError("a polytope needs at least one point")
@@ -197,67 +209,30 @@ class LatticePolytope:
             raise ValueError("mixed dimensions in point set")
         self.dim = dim
         self._points = tuple(sorted(set(pts)))
-        self._hulled = _known_extreme
-        self._halfspaces = None
+        # given, the points are known to be the vertices
+        self._halfspaces = _halfspaces
 
     @property
     def vertices(self) -> tuple:
         """The extreme points, in sorted order; computed on first access."""
-        if not self._hulled:
-            self._points = tuple(_extreme_points(self._points))
-            self._hulled = True
+        if self._halfspaces is None:
+            vertices, halfspaces = _hull(self._points)
+            self._points = vertices
+            self._halfspaces = halfspaces
         return self._points
-
-    # -- structure ---------------------------------------------------------
 
     def halfspaces(self):
         """Return (equalities, inequalities) in ambient coordinates.
 
         Equalities are pairs (n, c) with <n, x> = c on the polytope and cut
         out its affine hull; inequalities are pairs (u, c) with <u, x> >= c,
-        one per facet relative to the affine hull.  Every facet of an
-        r-dimensional polytope contains r affinely independent vertices, so
-        scanning r-subsets finds each one.  A facet normal is orthogonal to
-        the equality normals, which makes it unique up to positive scale;
-        it is stored primitive.
+        one per facet relative to the affine hull, ordered by the
+        lexicographically first affinely independent vertices on each.  A
+        facet normal is orthogonal to the equality normals, which makes it
+        unique up to positive scale; it is stored primitive.
         """
-        if self._halfspaces is None:
-            p0 = self.vertices[0]
-            normals = [_canonical_sign(_primitive(n)) for n in
-                       _nullspace([_sub(v, p0) for v in self.vertices[1:]], self.dim)]
-            equalities = tuple((n, _dot(n, p0)) for n in normals)
-            r = self.dim - len(normals)
-            facets = {}
-            for subset in itertools.combinations(self.vertices, r) if r else ():
-                base = subset[0]
-                null = _nullspace([_sub(v, base) for v in subset[1:]] + normals, self.dim)
-                if len(null) != 1:
-                    continue
-                u = _primitive(null[0])
-                c = _dot(u, base)
-                sides = [_dot(u, v) - c for v in self.vertices]
-                if min(sides) < 0 < max(sides):
-                    continue
-                if min(sides) < 0:
-                    u, c = tuple(-x for x in u), -c
-                facets[(u, c)] = True
-            self._halfspaces = (equalities, tuple(facets))
+        self.vertices
         return self._halfspaces
-
-    # -- predicates ----------------------------------------------------------
-
-    def contains_point(self, point: Sequence) -> bool:
-        point = as_point(point)
-        if len(point) != self.dim:
-            raise ValueError("dimension mismatch")
-        equalities, inequalities = self.halfspaces()
-        for n, c in equalities:
-            if _dot(n, point) != c:
-                return False
-        for u, c in inequalities:
-            if _dot(u, point) < c:
-                return False
-        return True
 
     def __eq__(self, other):
         return isinstance(other, LatticePolytope) and self.vertices == other.vertices
@@ -267,33 +242,6 @@ class LatticePolytope:
 
     def __repr__(self):
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)})"
-
-
-def _extreme_points(points: Sequence) -> list:
-    """The extreme points of a sorted, deduplicated point list, in its order.
-
-    The lexicographically first minimizer of a linear functional is a
-    vertex, so the fixed directions 0, ±2e_i and ±e_i ± e_j find vertices
-    without an LP.  Every other point gets one small LP against the vertices
-    known so far; only a point outside their hull gets the LP against all
-    remaining candidates, and a vertex that LP confirms becomes known.
-    Coordinates are scaled to integers by their common denominator.
-    """
-    n, dim = len(points), len(points[0])
-    scale = lcm(*(c.denominator for p in points for c in p))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
-    signed = [tuple(s * (k == i) for k in range(dim)) for i in range(dim) for s in (1, -1)]
-    directions = {tuple(a + b for a, b in zip(u, w)) for u in signed for w in signed}
-    keep = [False] * n
-    for u in directions:
-        keep[min(range(n), key=lambda i: sum(a * b for a, b in zip(u, ints[i])))] = True
-    verts = [p for p, k in zip(ints, keep) if k]
-    for i in range(n):
-        if not (keep[i] or _point_in_hull(ints[i], verts) or _point_in_hull(
-                ints[i], verts + [ints[j] for j in range(i + 1, n) if not keep[j]])):
-            keep[i] = True
-            verts.append(ints[i])
-    return [p for p, k in zip(points, keep) if k]
 
 
 # ---------------------------------------------------------------------------
@@ -307,56 +255,17 @@ def convex_hull(points: Sequence) -> LatticePolytope:
     return LatticePolytope(points)
 
 
-def contains(outer: LatticePolytope, inner: LatticePolytope) -> bool:
-    """Closed containment inner <= outer, exact (boundary counts as inside)."""
-    if outer.dim != inner.dim:
-        raise ValueError("dimension mismatch between polytopes")
-    return all(outer.contains_point(v) for v in inner._points)
-
-
-def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
-    """Hull of pairwise sums of generators."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch between polytopes")
-    sums = [tuple(a + b for a, b in zip(u, v))
-            for u in p._points for v in q._points]
-    return LatticePolytope(sums)
-
-
 def dilate(p: LatticePolytope, k) -> LatticePolytope:
-    """Scale a polytope about the origin by a nonnegative rational factor."""
+    """Scale a polytope about the origin by a nonnegative rational factor.
+
+    k > 0 keeps vertices extreme and sorted and facet normals fixed, so a
+    hulled polytope's dilate carries its description scaled and never
+    hulls; k = 0 collapses every point to the origin.
+    """
     k = Fraction(k)
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    # k > 0 keeps vertices extreme and sorted; k = 0 collapses every point
-    # to the origin, which the constructor dedups
-    return LatticePolytope([tuple(k * c for c in v) for v in p._points],
-                           _known_extreme=p._hulled)
-
-
-def support_min(p: LatticePolytope, coeffs: Sequence) -> Fraction:
-    """Exact minimum of the linear functional with these coefficients over the
-    polytope (attained at a vertex)."""
-    if len(coeffs) != p.dim:
-        raise ValueError("dimension mismatch between functional and polytope")
-    return min(_dot(coeffs, v) for v in p._points)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def polytope_to_json(p: LatticePolytope) -> str:
-    payload = {
-        "dim": p.dim,
-        "vertices": [[str(c) for c in v] for v in p.vertices],
-    }
-    return json.dumps(payload)
-
-
-def polytope_from_json(text: str) -> LatticePolytope:
-    payload = json.loads(text)
-    verts = [tuple(Fraction(c) for c in v) for v in payload["vertices"]]
-    if any(len(v) != payload["dim"] for v in verts):
-        raise ValueError("vertex dimension disagrees with declared dim")
-    return LatticePolytope(verts)
+    scaled = None
+    if k and p._halfspaces is not None:
+        scaled = tuple(tuple((n, k * c) for n, c in part) for part in p._halfspaces)
+    return LatticePolytope([tuple(k * c for c in v) for v in p._points], _halfspaces=scaled)

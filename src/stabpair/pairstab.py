@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
 
 from . import exactgeom
-from .exactgeom import LatticePolytope, contains, convex_hull, dilate
+from .exactgeom import LatticePolytope, convex_hull, dilate
 from .polyrep import (
     AnyPolynomial,
     FormalPower,
@@ -230,39 +229,17 @@ def verify_witness(pair: PairSpec, g: GroupElement, lam: OnePSG) -> dict:
             "valid": weight_v < weight_w}
 
 
-def module_degree(p: AnyPolynomial, generic: bool = False) -> int:
+def module_degree(p: AnyPolynomial) -> int:
     """Degree of the ambient module of homogeneous polynomials containing p.
 
     For the module of all homogeneous polynomials of total degree D on a
     matrix space, the smallest positive k with every weight polytope inside
     k times the standard simplex is max(D, 1): a single-column monomial
-    attains the bound.  With generic=True the value is recomputed from the
-    full module polytope by exact containment sweep and must agree.
+    attains the bound.
     """
     if p.is_zero:
         raise ValueError("zero polynomial spans no module")
-    total = p.degree
-    cols = p.shape.cols
-    closed = max(total, 1)
-    if generic:
-        qn = simplex_qn(cols)
-        pts = []
-        for comb in combinations_with_replacement(range(cols), total):
-            degs = [0] * cols
-            for c in comb:
-                degs[c] += 1
-            shift = Fraction(total, cols)
-            pts.append(tuple(Fraction(d) - shift for d in degs))
-        module_polytope = convex_hull(pts)
-        k = 1
-        while not contains(dilate(qn, k), module_polytope):
-            k += 1
-            if k > total + 1:  # pragma: no cover
-                raise ArithmeticError("module degree sweep exceeded bound")
-        if k != closed:
-            raise ArithmeticError(
-                f"generic module degree {k} disagrees with closed form {closed}")
-    return closed
+    return max(p.degree, 1)
 
 
 def stable_search(pair: PairSpec, q: int, m_max: int = 50,
@@ -283,6 +260,8 @@ def stable_search(pair: PairSpec, q: int, m_max: int = 50,
     """
     if q < 1:
         raise ValueError("identity padding exponent q must be >= 1")
+    if m_max < 1:
+        raise ValueError("twist exponent bound m_max must be >= 1")
     if scheme not in ("m:m+1", "m-1:m"):
         raise ValueError(f"unknown exponent scheme {scheme!r}")
 

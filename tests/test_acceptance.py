@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from geomref import contains
 from stabpair import energy, igusa, pairstab, varieties
-from stabpair.exactgeom import contains, dilate
+from stabpair.exactgeom import dilate
 from stabpair.igusa import (
     degeneration_limit_heights,
     height,

@@ -330,6 +330,17 @@ def test_usage_errors_exit_two(capsys):
     assert run(["variety", "--d", "1"]) == 2
     assert run(["height", "--poly", "disc:3", "--threads", "-3"]) == 2
     assert run(["height", "--poly", "disc:3", "--threads", "0"]) == 2
+    # the exact commands read supports, which only the symbolic forms have
+    for args in (["polytope", "--poly", "res:5"], ["polytope", "--poly", "disc:6"],
+                 ["semistable", "--pair", "v=res:5,w=res:5"],
+                 ["stable-search", "--pair", "v=res:5,w=res:5", "--q", "1"]):
+        capsys.readouterr()
+        assert run(args) == 2
+        assert "exact commands take res:d for d <= 4 and disc:d for d <= 5" in (
+            capsys.readouterr().err)
+    for m_max in ("0", "-4"):
+        assert run(["stable-search", "--pair", "v=disc:2,w=disc:2", "--q", "1",
+                    "--m-max", m_max]) == 2
 
 
 def test_internal_value_error_exits_three(monkeypatch, capsys):

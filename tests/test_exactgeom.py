@@ -1,5 +1,12 @@
-"""Exact polytope kernel: hulls, containment, Minkowski sums, support minima."""
+"""Exact polytope kernel: hulls, halfspace descriptions and dilates.
 
+The double-description hull is checked against the references in
+`geomref` (an LP vertex filter and an r-subset facet scan) and against
+structural properties every facet must have; containment, Minkowski sums
+and support minima are tested on those references.
+"""
+
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -7,18 +14,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stabpair.exactgeom import (
-    LatticePolytope,
-    as_point,
+from geomref import (
     contains,
-    convex_hull,
-    dilate,
+    contains_point,
+    extreme_points,
     minkowski_sum,
-    polytope_from_json,
-    polytope_to_json,
+    point_in_hull,
+    subset_scan,
     support_min,
 )
-from stabpair.exactgeom import _point_in_hull
+from stabpair.exactgeom import _rref, as_point, convex_hull, dilate
 from stabpair.polyrep import OnePSG
 
 F = Fraction
@@ -56,6 +61,16 @@ def test_hull_collinear_points_keeps_endpoints():
     assert vset(p) == {as_point((0, 0)), as_point((3, 3))}
 
 
+def test_hull_of_hexagon_has_one_facet_per_edge():
+    # the point (2, 4) sees an edge that shares no vertex with the edge
+    # through (-1, 2) and (0, 0): only adjacent facet pairs make new facets
+    hexagon = convex_hull([(0, 0), (2, 0), (3, 2), (2, 4), (0, 4), (-1, 2), (1, 2)])
+    equalities, facets = hexagon.halfspaces()
+    assert len(hexagon.vertices) == 6 and equalities == () and len(facets) == 6
+    assert set(facets) == {((2, 1), 0), ((0, 1), 0), ((-2, 1), -4),
+                           ((-2, -1), -8), ((0, -1), -4), ((2, -1), -4)}
+
+
 def test_hull_rejects_empty_and_mixed_dims():
     with pytest.raises(ValueError):
         convex_hull([])
@@ -69,7 +84,7 @@ def test_hull_contains_all_inputs_random():
         dim = int(rng.integers(1, 5))
         pts = random_points(rng, dim, int(rng.integers(1, 12)))
         hull = convex_hull(pts)
-        assert all(hull.contains_point(p) for p in pts)
+        assert all(contains_point(hull, p) for p in pts)
 
 
 # -- contains ----------------------------------------------------------------
@@ -200,7 +215,7 @@ def test_linear_functional_validation():
     assert OnePSG((F(2), 0, -2.0)).exponents == (2, 0, -2)
 
 
-# -- halfspaces & serialization -------------------------------------------------
+# -- halfspaces --------------------------------------------------------------------
 
 def _degenerate_supports(rng):
     """Sum-zero characters, collinear sets and planar sets in dimension 4."""
@@ -223,23 +238,37 @@ def test_halfspaces_describe_same_set():
         dim = len(pts[0])
         probes = random_points(rng, dim, 12, lo=-5, hi=5) + [hull.vertices[0]]
         for probe in probes:
-            by_halfspace = hull.contains_point(probe)
-            by_lp = _point_in_hull(probe, list(hull.vertices))
+            by_halfspace = contains_point(hull, probe)
+            by_lp = point_in_hull(probe, list(hull.vertices))
             assert by_halfspace == by_lp
 
 
-def test_json_roundtrip():
-    p = convex_hull([(F(1, 3), F(-1, 3), 0), (1, 0, -1), (0, 1, -1)])
-    q = polytope_from_json(polytope_to_json(p))
-    assert q == p
-    assert '"dim": 3' in polytope_to_json(p)
+# -- the hull against its references ---------------------------------------------
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
-# -- lazy hulls and the vertex prefilter -------------------------------------------
+def _rank(rows, dim):
+    return len(_rref(rows, dim)[1]) if rows else 0
 
-def _reference_extreme_points(points):
-    """Drop each point that lies in the hull of all the others."""
-    return [p for p in points if not _point_in_hull(p, [q for q in points if q != p])]
+
+def assert_facets_sound(hull):
+    """Each facet is primitive, orthogonal to the equality normals, has every
+    vertex on or inside it, and carries r affinely independent vertices."""
+    equalities, facets = hull.halfspaces()
+    verts, dim = hull.vertices, hull.dim
+    r = dim - len(equalities)
+    assert _rank([_sub(v, verts[0]) for v in verts], dim) == r
+    assert all(sum(a * b for a, b in zip(n, v)) == c for n, c in equalities for v in verts)
+    assert len(set(facets)) == len(facets) and (r == 0) == (facets == ())
+    for u, c in facets:
+        assert all(isinstance(a, int) for a in u) and math.gcd(*u) == 1
+        assert all(sum(a * b for a, b in zip(u, n)) == 0 for n, _c in equalities)
+        sides = [sum(a * b for a, b in zip(u, v)) - c for v in verts]
+        assert min(sides) == 0
+        on = [v for v, s in zip(verts, sides) if s == 0]
+        assert _rank([_sub(v, on[0]) for v in on], dim) == r - 1
 
 
 def _differential_supports(rng, count):
@@ -265,18 +294,32 @@ def _differential_supports(rng, count):
         yield pts
 
 
-def test_extreme_points_match_reference_filter():
-    # halfspaces() is a function of the vertex tuple; it is compared where it
-    # is cheap, since its subset scan grows as C(vertices, dim)
-    rng = np.random.default_rng(2024)
-    for raw in _differential_supports(rng, 1000):
-        want = _reference_extreme_points(sorted(set(as_point(p) for p in raw)))
-        hull = convex_hull(raw)
-        assert hull.vertices == tuple(want), raw
-        if len(want) <= 5:
-            reference = LatticePolytope(want, _known_extreme=True)
-            assert hull.halfspaces() == reference.halfspaces(), raw
+def _high_dimensional_supports(rng):
+    """Full-dimensional, sum-zero and planar point sets in dimensions 5 and 6."""
+    for dim in (5, 6):
+        yield random_points(rng, dim, 10, lo=-2, hi=2)
+        heads = random_points(rng, dim - 1, 9, lo=-2, hi=2)
+        yield [h + (-sum(h),) for h in heads]
+        base, d1, d2 = (rng.integers(-2, 3, size=dim) for _ in range(3))
+        yield [tuple(int(x) for x in base + a * d1 + b * d2)
+               for a, b in rng.integers(-2, 3, size=(8, 2))]
 
+
+def test_extreme_points_match_reference_filter():
+    # the subset scan grows as C(vertices, dim), so below dimension 5 it runs
+    # where it is cheap; the structural check runs on every support
+    rng = np.random.default_rng(2024)
+    supports = list(_differential_supports(rng, 1000)) + list(_high_dimensional_supports(rng))
+    for raw in supports:
+        want = tuple(extreme_points(sorted(set(as_point(p) for p in raw))))
+        hull = convex_hull(raw)
+        assert hull.vertices == want, raw
+        if len(want) <= 5 or hull.dim >= 5:
+            assert hull.halfspaces() == subset_scan(want, hull.dim), raw
+        assert_facets_sound(hull)
+
+
+# -- lazy hulls -------------------------------------------------------------------
 
 def test_lazy_operations_match_hulled(hull_inputs):
     rng = np.random.default_rng(29)
@@ -309,6 +352,21 @@ def test_dilate_of_hulled_polytope_stays_hull_free(hull_inputs):
     assert len(hull_inputs) == 1
     assert len(dilate(convex_hull([(0, 0), (1, 1), (2, 2)]), 2).vertices) == 2
     assert len(hull_inputs) == 2
+    # a dilate carries the facets, scaled, exactly as a fresh hull finds them
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        dim = int(rng.integers(1, 5))
+        q = convex_hull(random_points(rng, dim, int(rng.integers(1, 10))))
+        q.halfspaces()
+        k = F(int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+        del hull_inputs[:]
+        scaled = dilate(q, k)
+        assert (scaled.vertices, scaled.halfspaces()) == (
+            tuple(tuple(k * c for c in v) for v in q.vertices),
+            subset_scan(scaled.vertices, dim))
+        assert hull_inputs == []
+        fresh = convex_hull([tuple(k * c for c in v) for v in q.vertices])
+        assert fresh.halfspaces() == scaled.halfspaces()
 
 
 def test_lazy_hull_shared_across_threads():

@@ -1,12 +1,14 @@
 """Pair semistability: weight polytopes, one-parameter weights, probing."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stabpair.exactgeom import contains, dilate, minkowski_sum, support_min
+from geomref import contains, contains_point, minkowski_sum, point_in_hull, support_min
+from stabpair.exactgeom import convex_hull, dilate
 from stabpair.pairstab import (
     CERTIFIED,
     DESTABILIZED,
@@ -92,7 +94,7 @@ def test_simplex_qn_ambient_two():
     qn = simplex_qn(2)
     assert set(qn.vertices) == {(F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2))}
     # origin strictly inside: both facets hold strictly
-    assert qn.contains_point((0, 0))
+    assert contains_point(qn, (0, 0))
 
 
 def test_weight_polytope_formal_power_dilates():
@@ -153,7 +155,6 @@ def test_ops_weight_formal_power_scales():
 
 
 def test_tensor_support_hull_is_minkowski_sum_of_hulls():
-    from stabpair.exactgeom import convex_hull, minkowski_sum
     from stabpair.polyrep import tensor_support
 
     rng = np.random.default_rng(29)
@@ -235,8 +236,6 @@ def test_probe_mumford_reduction_destabilizes_at_identity():
 
 def test_probe_matches_lp_oracle_across_conjugates():
     # oracle: exact point-in-hull LPs instead of halfspace checks
-    from stabpair.exactgeom import _point_in_hull
-
     rng = np.random.default_rng(5)
     v = disc2()
     w_pair = FormalPower(disc2(), 2)
@@ -252,7 +251,7 @@ def test_probe_matches_lp_oracle_across_conjugates():
     for g in elements:
         wp_v = weight_polytope(act(g, pair.v))
         wp_w = weight_polytope(act(g, pair.w))
-        if not all(_point_in_hull(x, list(wp_w.vertices)) for x in wp_v.vertices):
+        if not all(point_in_hull(x, list(wp_w.vertices)) for x in wp_v.vertices):
             oracle_destabilized = True
             break
     assert verdict.destabilized == oracle_destabilized
@@ -321,7 +320,7 @@ def test_probe_normalized_rnc4_certifies_a_conjugate_torus():
 def test_module_degree_examples():
     assert module_degree(monomial(MatrixShape(1, 4), ((0, 3, 0, 0),))) == 3
     assert module_degree(disc2()) == 2
-    assert module_degree(disc2(), generic=True) == 2
+    assert generic_module_degree(disc2()) == 2
     assert module_degree(constant(MatrixShape(1, 3), 5)) == 1
     zero = SparsePolynomial(MatrixShape(1, 3), {}, 2)
     for p in (zero, FormalPower(zero, 3)):
@@ -337,11 +336,23 @@ def test_module_degree_bound_attained():
     assert not contains(qn, wp)
 
 
+def generic_module_degree(p):
+    """The least k with the full degree-D module polytope inside k*Q, by sweep."""
+    cols, total = p.shape.cols, p.degree
+    shift = Fraction(total, cols)
+    pts = []
+    for comb in itertools.combinations_with_replacement(range(cols), total):
+        pts.append(tuple(comb.count(j) - shift for j in range(cols)))
+    module_polytope = convex_hull(pts)
+    return next(k for k in range(1, total + 2)
+                if contains(dilate(simplex_qn(cols), k), module_polytope))
+
+
 def test_module_degree_generic_matches_closed():
     for cols, deg in [(2, 1), (2, 4), (3, 2), (4, 3)]:
         p = monomial(MatrixShape(1, cols), (tuple(deg if j == 0 else 0
                                                   for j in range(cols)),))
-        assert module_degree(p, generic=True) == deg
+        assert module_degree(p) == generic_module_degree(p) == deg
 
 
 # -- stable search -------------------------------------------------------------------
@@ -404,6 +415,13 @@ def test_stable_search_scheme_variants_run():
     assert m_default is not None and m_shifted is not None
     with pytest.raises(ValueError):
         stable_search(pair, q=2, m_max=5, scheme="bogus")
+
+
+def test_stable_search_rejects_empty_sweep():
+    pair = PairSpec.of(disc2(), disc2())
+    for m_max in (0, -4):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            stable_search(pair, q=1, m_max=m_max)
 
 
 # -- destabilizer extraction -----------------------------------------------------------
