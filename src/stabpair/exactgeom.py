@@ -132,7 +132,9 @@ def _hull(points: Sequence) -> tuple:
     their ridge and the point.  Incidence sets are bitmasks; f and g are
     adjacent when they share r - 1 points that no third facet holds.  A
     vertex is a point the facets through it meet in alone.  Facets come in
-    the order of their lexicographically first r independent vertices.
+    the order of their ascending vertex-index lists, which is the order of
+    their lex-first r independent vertices: a vertex of one facet in the
+    span of a prefix shared with another lies on that one too.
     """
     dim, n = len(points[0]), len(points)
     scale = lcm(*(c.denominator for p in points for c in p))
@@ -172,8 +174,7 @@ def _hull(points: Sequence) -> tuple:
         for j in _bits(z):
             meet[j] &= z
     vertices = sum(1 << j for j in range(n) if meet[j] == 1 << j)
-    keyed = sorted((_affine_basis(ints, _bits(z & vertices), r), u, Fraction(c, scale))
-                   for u, c, z in facets)
+    keyed = sorted((_bits(z & vertices), u, Fraction(c, scale)) for u, c, z in facets)
     return (tuple(points[j] for j in _bits(vertices)),
             (equalities, tuple((u, c) for _key, u, c in keyed)))
 

@@ -178,30 +178,35 @@ def _weight_table(v: AnyPolynomial, w: AnyPolynomial) -> list:
 
     N(v) <= N(w) exactly when no row has weight of v below weight of w; the
     rows follow `separating_functionals`, so the first failing one is a
-    deterministic witness.  Only N(w) is hulled.
+    deterministic witness.  Only N(w) is hulled, and the weights of w are
+    read off its vertices, so each side's support is formed once.
     """
-    lams = separating_functionals(weight_polytope(w))
-    return list(zip(lams, _weights(v, lams), _weights(w, lams)))
+    polytope = weight_polytope(w)
+    lams = separating_functionals(polytope)
+    weights_w = [min(map(lam.pair, polytope.vertices)) for lam in lams]
+    return list(zip(lams, _weights(v, lams), weights_w))
 
 
 def _acted_pair(pair: PairSpec, g: GroupElement):
     return act(g, pair.v), act(g, pair.w)
 
 
-def _probe_trial(pair: PairSpec, g: GroupElement) -> Optional[OnePSG]:
-    """The first functional destabilizing the pair conjugated by g, or None."""
-    table = _weight_table(*_acted_pair(pair, g))
+def _probe_trial(pair: PairSpec, g: Optional[GroupElement]) -> Optional[OnePSG]:
+    """The first functional destabilizing the pair conjugated by g, or None;
+    for g None, the pair itself on the diagonal torus, with no act."""
+    table = _weight_table(*(_acted_pair(pair, g) if g is not None else (pair.v, pair.w)))
     return next((lam for lam, wv, ww in table if wv < ww), None)
 
 
 def semistable_probe(pair: PairSpec, trials: int = 20, rng_seed=0) -> StabilityVerdict:
     """Exact diagonal certification plus randomized conjugate-torus probing.
 
-    Trial 0 is the identity (the diagonal torus itself); the remaining
-    trials act by random integer unimodular matrices, so every verdict is
-    an exact weight computation.  Trials run in index order and the
-    first destabilizer stops the probe; all trial seeds are spawned up
-    front, so trial i acts by the same element however many trials run.
+    Trial 0 is the identity (the diagonal torus itself, read without an
+    act); the remaining trials act by random integer unimodular matrices,
+    so every verdict is an exact weight computation.  Trials run in index
+    order and the first destabilizer stops the probe; all trial seeds are
+    spawned up front, so trial i acts by the same element however many
+    trials run.
     A returned witness (g, lam) satisfies
     ops_weight(act(g, v), lam) < ops_weight(act(g, w), lam).
     """
@@ -209,9 +214,9 @@ def semistable_probe(pair: PairSpec, trials: int = 20, rng_seed=0) -> StabilityV
         raise ValueError("at least one trial required")
     seeds = np.random.SeedSequence(rng_seed).spawn(trials)
     for idx in range(trials):
-        g = (GroupElement.identity(pair.ambient) if idx == 0 else
-             random_unimodular(pair.ambient, np.random.default_rng(seeds[idx])))
-        lam = _probe_trial(pair, g)
+        g = (random_unimodular(pair.ambient, np.random.default_rng(seeds[idx])) if idx else
+             GroupElement.identity(pair.ambient))
+        lam = _probe_trial(pair, g if idx else None)
         if lam is None:
             continue
         if not verify_witness(pair, g, lam)["valid"]:  # pragma: no cover - exact arithmetic

@@ -376,8 +376,11 @@ class BlackBoxPolynomial:
         if self.check_samples:
             rng = np.random.default_rng(20151216)
             a = gaussian_batch(self.shape, self.check_samples, rng)
-            t = gaussian_batch((1, 1), self.check_samples, rng).ravel()
-            vals = self.evaluate_batch(np.concatenate([t[:, None, None] * a, a]))
+            t = np.exp(2j * np.pi * rng.random(self.check_samples))  # |t ** degree| = 1
+            with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+                vals = self.evaluate_batch(np.concatenate([t[:, None, None] * a, a]))
+            if not np.all(np.isfinite(vals)):
+                raise OverflowError(f"{self.name}: spot-check values are not finite")
             lhs, rhs = vals[:len(t)], t ** self.degree * vals[len(t):]
             scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
             if np.any(abs(lhs - rhs) / scale > 1e-8):

@@ -1,18 +1,19 @@
 """Resultants and hyperdiscriminants of rational normal curves, and their heights.
 
 The degree-d rational normal curve is the unique built-in family: its
-codimension-2-plane divisor form is the Sylvester resultant of the two
-binary d-forms read off the rows of a 2 x (d+1) matrix, and its tangency
-divisor form is the discriminant of a single binary d-form, realized as
-the resultant of the two partial derivatives.  Both are exactly
-constructible, which makes every downstream quantity (degrees, supports,
-heights, discrepancies) independently checkable.
+codimension-2-plane divisor form is the resultant of the two binary d-forms
+read off the rows of a 2 x (d+1) matrix, and its tangency divisor form is
+the discriminant of a single binary d-form, realized as the resultant of
+the two partial derivatives.  Both are exactly constructible, which makes
+every downstream quantity (degrees, supports, heights, discrepancies)
+independently checkable.
 
-Small degrees are expanded symbolically with integer coefficients; larger
-ones stay black boxes evaluated through batched determinants of the Bezout
-matrix, half the size of the Sylvester matrix.  Degrees are read from the
-constructions (a black box's declared degree is spot-checked when it is
-built) and must equal 2d and 2d - 2.
+Every resultant here is the determinant of one Bezout matrix, filled by
+one recurrence.  Small degrees expand it symbolically, with integer
+coefficients; larger ones stay black boxes evaluated through batched
+determinants of it.  Degrees are read from the constructions (a black
+box's declared degree is spot-checked when it is built) and must equal 2d
+and 2d - 2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -35,6 +35,7 @@ from .polyrep import (
     SparsePolynomial,
     act,
     constant,
+    monomial,
 )
 
 logger = logging.getLogger(__name__)
@@ -43,7 +44,6 @@ __all__ = [
     "VarietyExample",
     "DiscrepancyRow",
     "poly_det",
-    "sylvester_resultant",
     "rnc_resultant",
     "rnc_hyperdiscriminant",
     "rnc_example",
@@ -61,11 +61,11 @@ BEZOUT_STACK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
-# symbolic Sylvester machinery
+# the Bezout matrix, numeric and symbolic
 # ---------------------------------------------------------------------------
 
 def poly_det(rows: Sequence[Sequence[SparsePolynomial]]) -> SparsePolynomial:
-    """Determinant of a small matrix of polynomials by memoized expansion.
+    """Determinant of a small square matrix of polynomials by memoized expansion.
 
     Expands along columns left to right; minors are shared across the
     expansion tree, so the cost is 2^n subsets rather than n! products.
@@ -73,70 +73,57 @@ def poly_det(rows: Sequence[Sequence[SparsePolynomial]]) -> SparsePolynomial:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    shape = None
-    for r in rows:
-        for e in r:
-            if e is not None:
-                shape = e.shape
-                break
-        if shape is not None:
-            break
-    if shape is None:
-        raise ValueError("matrix of empty entries")
-    one = constant(shape, 1)
-    zero = SparsePolynomial(shape, {}, 0)
+    shape = rows[0][0].shape
+    one, zero = constant(shape, 1), SparsePolynomial(shape, {}, 0)
     memo: dict = {}
 
     def rec(remaining: tuple) -> SparsePolynomial:
         if not remaining:
             return one
-        key = remaining
-        if key in memo:
-            return memo[key]
+        if remaining in memo:
+            return memo[remaining]
         col = n - len(remaining)
         acc = zero
         for pos, i in enumerate(remaining):
             entry = rows[i][col]
-            if entry is None or entry.is_zero:
+            if entry.is_zero:
                 continue
-            sub = rec(remaining[:pos] + remaining[pos + 1:])
-            if sub.is_zero:
-                continue
-            term = entry * sub
+            term = entry * rec(remaining[:pos] + remaining[pos + 1:])
             acc = acc + term if pos % 2 == 0 else acc - term
-        memo[key] = acc
+        memo[remaining] = acc
         return acc
 
     return rec(tuple(range(n)))
 
 
-def _sylvester_rows(f: Sequence, g: Sequence, shape: MatrixShape):
-    """Symbolic Sylvester matrix of two coefficient vectors (degrees from length)."""
-    size = len(f) + len(g) - 2
-    zero = SparsePolynomial(shape, {}, 0)
-    return [[zero] * i + list(coeffs) + [zero] * (size - i - len(coeffs))
-            for coeffs, count in ((f, len(g) - 1), (g, len(f) - 1)) for i in range(count)]
+def _bezout(f, g, b, det):
+    """The resultant (-1)^(n(n-1)/2) det B of the binary n-forms with
+    coefficient rows f and g (n + 1 entries on the leading axis).
 
-
-def sylvester_resultant(f: Sequence[SparsePolynomial],
-                        g: Sequence[SparsePolynomial]) -> SparsePolynomial:
-    """Resultant of two binary forms given by symbolic coefficient vectors."""
-    shape = f[0].shape
-    return poly_det(_sylvester_rows(list(f), list(g), shape))
+    B is the n x n Bezout matrix, half the Sylvester size (Gelfand,
+    Kapranov & Zelevinsky, ch. 12 S1), filled into `b` row by row with the
+    anti-diagonal recurrence B[i, j] = B[i-1, j+1] + f_i g_{j+1} - g_i f_{j+1}.
+    Entries are complex sample columns or polynomials alike.
+    """
+    n = len(f) - 1
+    for i in range(n):
+        np.multiply(f[i], g[1:], out=b[i])
+        b[i] -= np.multiply(g[i], f[1:])
+        if i:
+            b[i, :-1] += b[i - 1, 1:]
+    out = det(b)
+    # a negation, not a product with -1, keeps an overflowed inf from turning NaN
+    return -out if n * (n - 1) // 2 % 2 else out
 
 
 def _bezout_resultant(fs: np.ndarray, gs: np.ndarray, weights=(1, 1)) -> np.ndarray:
     """Batched resultant of the binary n-forms with coefficient rows
     fs * weights[0] and gs * weights[1], both (batch, n+1).
 
-    The resultant is (-1)^(n(n-1)/2) det B, with B the n x n Bezout matrix,
-    half the Sylvester size (Gelfand, Kapranov & Zelevinsky, ch. 12 S1).
-    Row i of B comes from the row above by the anti-diagonal recurrence
-    B[i, j] = B[i-1, j+1] + f_i g_{j+1} - g_i f_{j+1}.  Weights and rows
-    are formed per slice, samples last so that each row is one contiguous
-    block, in one reused stack of at most BEZOUT_STACK_BYTES that goes to
-    one det call; each determinant is its own LU factorization, so
-    slicing changes no value.
+    Weights and rows are formed per slice, samples last so that each row
+    of B is one contiguous block, in one reused stack of at most
+    BEZOUT_STACK_BYTES that goes to one det call; each determinant is its
+    own LU factorization, so slicing changes no value.
     """
     n = fs.shape[1] - 1
     step = max(1, BEZOUT_STACK_BYTES // (16 * n * n))
@@ -146,14 +133,15 @@ def _bezout_resultant(fs: np.ndarray, gs: np.ndarray, weights=(1, 1)) -> np.ndar
         f = (fs[lo:lo + step] * weights[0]).T.copy()
         g = (gs[lo:lo + step] * weights[1]).T.copy()
         b = stack[:n * n * f.shape[1]].reshape(n, n, f.shape[1])
-        for i in range(n):
-            np.multiply(f[i], g[1:], out=b[i])
-            b[i] -= g[i] * f[1:]
-            if i:
-                b[i, :-1] += b[i - 1, 1:]
-        out[lo:lo + step] = np.linalg.det(b.transpose(2, 0, 1))
-    # a negation, not a product with -1, keeps an overflowed inf from turning NaN
-    return -out if n * (n - 1) // 2 % 2 else out
+        out[lo:lo + step] = _bezout(f, g, b, lambda b: np.linalg.det(b.transpose(2, 0, 1)))
+    return out
+
+
+def _symbolic_resultant(f: list, g: list) -> SparsePolynomial:
+    """The resultant of two binary forms with polynomial coefficients, exactly."""
+    n = len(f) - 1
+    f, g = np.array(f, dtype=object), np.array(g, dtype=object)
+    return _bezout(f, g, np.empty((n, n), dtype=object), poly_det)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +150,8 @@ def _bezout_resultant(fs: np.ndarray, gs: np.ndarray, weights=(1, 1)) -> np.ndar
 
 def _coeff_vars(shape: MatrixShape, row: int):
     """The row's entries as degree-1 monomials a_{row,0}, ..., a_{row,cols-1}."""
-    out = []
-    for j in range(shape.cols):
-        exps = tuple(tuple(1 if (r == row and c == j) else 0
-                           for c in range(shape.cols)) for r in range(shape.rows))
-        out.append(SparsePolynomial(shape, {exps: 1}, 1))
-    return out
+    return [monomial(shape, [[int(r == row and c == j) for c in range(shape.cols)]
+                             for r in range(shape.rows)]) for j in range(shape.cols)]
 
 
 def rnc_resultant(d: int) -> Union[SparsePolynomial, BlackBoxPolynomial]:
@@ -182,7 +166,7 @@ def rnc_resultant(d: int) -> Union[SparsePolynomial, BlackBoxPolynomial]:
     if d <= SYMBOLIC_RESULTANT_LIMIT:
         a = _coeff_vars(shape, 0)
         b = _coeff_vars(shape, 1)
-        return sylvester_resultant(a, b)
+        return _symbolic_resultant(a, b)
 
     def batch_eval(batch: np.ndarray) -> np.ndarray:
         return _bezout_resultant(batch[:, 0, :], batch[:, 1, :])
@@ -213,9 +197,10 @@ def rnc_hyperdiscriminant(d: int) -> Union[SparsePolynomial, BlackBoxPolynomial]
     if d <= SYMBOLIC_DISCRIMINANT_LIMIT:
         a = _coeff_vars(shape, 0)
         ds, dt = _derivative_coeffs(a, d)
-        raw = sylvester_resultant(ds, dt)
-        lead = raw.terms[sorted(raw.terms)[0]]
-        return raw if lead == 1 else raw * Fraction(1, lead)
+        raw = _symbolic_resultant(ds, dt)
+        lead = raw.terms[min(raw.terms)]  # divides every coefficient for d <= 5
+        return SparsePolynomial._trusted(shape, {e: c // lead for e, c in raw.terms.items()},
+                                         raw.degree)
 
     # the partials of the all-ones form are the column weights d - j and j + 1
     weights = _derivative_coeffs([1] * (d + 1), d)
@@ -322,8 +307,9 @@ def discrepancy_table(d_values: Sequence[int], samples: int = 200_000, seed=0,
     """Height-discrepancy rows |deg_Delta h_F - deg_R h_Delta| plus a growth fit.
 
     Returns (rows, fit) where fit regresses log(delta) on log(d) and
-    reports the growth exponent with a two-sigma halfwidth; the fit is
-    reported, never asserted against.
+    reports the growth exponent with a two-sigma halfwidth, each None when
+    too few degrees determine it; the fit is reported, never asserted
+    against.
     """
     rows = []
     for d in d_values:
@@ -338,18 +324,22 @@ def discrepancy_table(d_values: Sequence[int], samples: int = 200_000, seed=0,
 
 
 def _growth_fit(ds, deltas) -> dict:
+    """Least squares of log(delta) on log(d): the exponent and prefactor need
+    two degrees and the halfwidth three; with fewer they are None."""
     xs = np.log(np.asarray(ds, dtype=float))
     ys = np.log(np.asarray(deltas, dtype=float))
+    fit = {"exponent": None, "exponent_ci_halfwidth": None, "log_prefactor": None,
+           "points": len(xs)}
+    if len(xs) < 2:
+        return fit
     design = np.column_stack([np.ones_like(xs), xs])
-    coef, residuals, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    dof = max(len(xs) - 2, 1)
-    resid = ys - design @ coef
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    return {"exponent": float(coef[1]),
-            "exponent_ci_halfwidth": 2.0 * math.sqrt(max(cov[1, 1], 0.0)),
-            "log_prefactor": float(coef[0]),
-            "points": len(xs)}
+    coef = np.linalg.lstsq(design, ys, rcond=None)[0]
+    fit.update(exponent=float(coef[1]), log_prefactor=float(coef[0]))
+    if len(xs) > 2:
+        resid = ys - design @ coef
+        cov = float(resid @ resid) / (len(xs) - 2) * np.linalg.inv(design.T @ design)
+        fit["exponent_ci_halfwidth"] = 2.0 * math.sqrt(max(cov[1, 1], 0.0))
+    return fit
 
 
 def optimal_constant_probe(example: VarietyExample,

@@ -3,8 +3,9 @@
 `exactgeom` finds vertices and facets in one double-description pass; the
 tests check it against the computations it replaced.  Vertices come from an
 LP filter (fixed-direction minimizers, then exact phase-1 simplex solves),
-facets from a scan of every r-subset of the vertices, and containment,
-Minkowski sums and support minima are the plain definitions.
+facets from a scan of every r-subset of the vertices, their order from the
+rank tests of a greedy affine basis, and containment, Minkowski sums and
+support minima are the plain definitions.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from typing import Sequence
 
 from stabpair.exactgeom import (
     LatticePolytope,
+    _affine_basis,
     _dot,
     _nullspace,
     _pivot,
@@ -126,6 +128,16 @@ def subset_scan(vertices: tuple, dim: int):
             u, c = tuple(-x for x in u), -c
         facets[(u, c)] = True
     return equalities, tuple(facets)
+
+
+def rank_keyed_facets(p: LatticePolytope) -> tuple:
+    """p's facets ordered by the lexicographically first affinely independent
+    vertices on each, found by rank tests in vertex order."""
+    equalities, facets = p.halfspaces()
+    verts = p.vertices
+    r = p.dim - len(equalities)
+    return tuple(sorted(facets, key=lambda facet: _affine_basis(
+        verts, [i for i, v in enumerate(verts) if _dot(facet[0], v) == facet[1]], r)))
 
 
 def contains_point(p: LatticePolytope, point) -> bool:

@@ -197,6 +197,14 @@ def test_discrepancy_csv_and_determinism(tmp_path):
         (tmp_path / "b.csv.manifest.json").read_text())["outputs"]["b.csv"]
 
 
+def test_discrepancy_single_degree_exits_zero(tmp_path):
+    # one degree fixes no growth line: the fit reports None, not an error
+    out = tmp_path / "one.csv"
+    argv = ["discrepancy", "--d", "3", "--samples", "2000", "--seed", "1", "--out", str(out)]
+    assert run(argv) == 0
+    assert "exponent=None ci_halfwidth=None" in out.read_text()
+
+
 def test_variety_emit(tmp_path):
     out = tmp_path / "conic.json"
     assert run(["variety", "--d", "2", "--out", str(out)]) == 0

@@ -20,11 +20,14 @@ from geomref import (
     extreme_points,
     minkowski_sum,
     point_in_hull,
+    rank_keyed_facets,
     subset_scan,
     support_min,
 )
 from stabpair.exactgeom import _rref, as_point, convex_hull, dilate
-from stabpair.polyrep import OnePSG
+from stabpair.pairstab import weight_polytope
+from stabpair.polyrep import OnePSG, act, random_unimodular
+from stabpair.varieties import rnc_hyperdiscriminant, rnc_resultant
 
 F = Fraction
 
@@ -317,6 +320,26 @@ def test_extreme_points_match_reference_filter():
         if len(want) <= 5 or hull.dim >= 5:
             assert hull.halfspaces() == subset_scan(want, hull.dim), raw
         assert_facets_sound(hull)
+
+
+def _acted_rnc_supports():
+    """Weight polytopes of res:d and disc:d, d <= 4, on conjugate tori."""
+    for d in (2, 3, 4):
+        for form in (rnc_resultant(d), rnc_hyperdiscriminant(d)):
+            for seed in range(3):
+                g = random_unimodular(d + 1, np.random.default_rng(seed))
+                yield weight_polytope(act(g, form)).vertices
+
+
+def test_facet_order_matches_rank_key():
+    # facets sorted by their vertex-index lists come in the order of their
+    # lexicographically first affinely independent vertices
+    rng = np.random.default_rng(2025)
+    supports = (list(_differential_supports(rng, 1000)) + list(_high_dimensional_supports(rng))
+                + list(_acted_rnc_supports()))
+    for raw in supports:
+        hull = convex_hull(raw)
+        assert hull.halfspaces()[1] == rank_keyed_facets(hull), raw
 
 
 # -- lazy hulls -------------------------------------------------------------------

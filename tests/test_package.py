@@ -46,3 +46,15 @@ def test_exact_verdicts_leave_out_scipy_hulls_and_optimizers():
             "pairstab.semistable_probe(pair, trials=2)\n"
             "pairstab.stable_search(pair, q=4, m_max=3, probe_trials=1)")
     assert _loaded_after(code, ("scipy.spatial", "scipy.optimize")) == []
+
+
+def test_benchmark_set_up_forms_leave_out_scipy():
+    # the forms the benchmark builds before it times anything; importing
+    # scipy.special alone would add a large share of that set-up
+    code = ("from stabpair import polyrep, varieties\n"
+            "polyrep.determinant_poly(3)\n"
+            "varieties.rnc_hyperdiscriminant(5), varieties.rnc_resultant(4)\n"
+            "varieties.rnc_hyperdiscriminant(12), varieties.rnc_hyperdiscriminant(24)\n"
+            "for d in (2, 3, 4):\n"
+            "    varieties.normalized_pair(varieties.rnc_example(d))")
+    assert _loaded_after(code, ("scipy",)) == []

@@ -292,6 +292,27 @@ def test_probe_stops_at_first_destabilizer(monkeypatch):
     assert len(calls) == 1
 
 
+def test_probe_trial_zero_acts_by_nothing(monkeypatch):
+    # the diagonal torus is read from the pair itself; conjugate trials act
+    # on each side once
+    import stabpair.pairstab as pairstab
+    from stabpair import varieties
+
+    calls = []
+    real_act = pairstab.act
+
+    def counting_act(g, p):
+        calls.append(g)
+        return real_act(g, p)
+
+    monkeypatch.setattr(pairstab, "act", counting_act)
+    pair = varieties.normalized_pair(varieties.rnc_example(3))
+    assert semistable_probe(pair, trials=1).status == CERTIFIED
+    assert calls == []
+    assert semistable_probe(pair, trials=2).status == CERTIFIED
+    assert len(calls) == 2
+
+
 def test_probe_trial_hulls_only_the_w_side(hull_inputs):
     from stabpair import varieties
 

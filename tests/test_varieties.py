@@ -1,6 +1,9 @@
 """Rational normal curve forms: construction, vanishing, degrees, heights."""
 
 import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,9 @@ from stabpair.polyrep import (
 from stabpair.varieties import (
     BEZOUT_STACK_BYTES,
     _bezout_resultant,
+    _coeff_vars,
     _derivative_coeffs,
+    _symbolic_resultant,
     binary_form_mul,
     discrepancy_table,
     normalized_pair,
@@ -376,7 +381,9 @@ def test_discrepancy_table_small():
         assert r.delta >= 0
         assert r.delta_over_d2 == pytest.approx(r.delta / r.d**2)
         assert r.h_F < 0 and r.h_Delta < 0
-    assert fit["points"] == 2
+    # two points fix the line but leave no degree of freedom for its error
+    assert fit["points"] == 2 and fit["exponent"] is not None
+    assert fit["exponent_ci_halfwidth"] is None
 
 
 def test_degeneration_limits_match_concrete_minor_powers():
@@ -424,16 +431,70 @@ def test_optimal_constant_probe_identity_matches_discrepancy_row():
 
 # -- symbolic determinant helper ---------------------------------------------------------
 
+def sylvester_rows(f, g, shape):
+    """Reference: the symbolic Sylvester matrix of two coefficient vectors."""
+    size = len(f) + len(g) - 2
+    zero = SparsePolynomial(shape, {}, 0)
+    return [[zero] * i + list(coeffs) + [zero] * (size - i - len(coeffs))
+            for coeffs, count in ((f, len(g) - 1), (g, len(f) - 1)) for i in range(count)]
+
+
 def test_poly_det_matches_numeric():
     rng = np.random.default_rng(8)
     d = 3
     shape = MatrixShape(2, d + 1)
-    from stabpair.varieties import _coeff_vars, _sylvester_rows
-
     a = _coeff_vars(shape, 0)
     b = _coeff_vars(shape, 1)
-    sym = poly_det(_sylvester_rows(a, b, shape))
+    sym = poly_det(sylvester_rows(a, b, shape))
     for _ in range(10):
         arr = rng.standard_normal((2, d + 1)) + 1j * rng.standard_normal((2, d + 1))
         want = _bezout_resultant(arr[None, 0, :], arr[None, 1, :])[0]
         assert evaluate(sym, arr) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_bezout_forms_equal_sylvester_resultants(d):
+    shape = MatrixShape(2, d + 1)
+    a, b = _coeff_vars(shape, 0), _coeff_vars(shape, 1)
+    want = poly_det(sylvester_rows(a, b, shape))
+    assert _symbolic_resultant(a, b) == want
+    if d <= 4:
+        assert rnc_resultant(d) == want
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_bezout_discriminants_equal_normalized_sylvester(d):
+    shape = MatrixShape(1, d + 1)
+    ds, dt = _derivative_coeffs(_coeff_vars(shape, 0), d)
+    raw = poly_det(sylvester_rows(ds, dt, shape))
+    want = raw * Fraction(1, raw.terms[min(raw.terms)])
+    got = rnc_hyperdiscriminant(d) if d <= 5 else _symbolic_resultant(ds, dt)
+    assert got * Fraction(1, got.terms[min(got.terms)]) == want
+    if d <= 5:
+        assert got == want
+        assert all(type(c) is int for c in got.terms.values())
+
+
+# -- the black-box homogeneity spot check --------------------------------------------------
+
+def test_spot_check_raises_on_overflow_and_passes_below():
+    # at disc:200 every spot value overflows a float, so no declared degree
+    # can be checked there, the true one included
+    d = 200
+    weights = _derivative_coeffs([1] * (d + 1), d)
+
+    def disc(batch):
+        return _bezout_resultant(batch[:, 0, :d], batch[:, 0, 1:], weights)
+
+    for degree in (2 * d - 3, 2 * d - 2, 2 * d - 1):
+        with pytest.raises(OverflowError, match="not finite"):
+            BlackBoxPolynomial(MatrixShape(1, d + 1), degree, disc)
+    # below the overflow, a degree off by one is caught
+    base = rnc_hyperdiscriminant(40)
+    for degree in (77, 79):
+        with pytest.raises(ValueError, match="homogeneity"):
+            BlackBoxPolynomial(base.shape, degree, base.evaluator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rnc_hyperdiscriminant(40).degree == 78
+        assert rnc_resultant(120).degree == 240
