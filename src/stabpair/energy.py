@@ -16,9 +16,9 @@ used here.
 nu is bounded below exactly when the pair is semistable, and the infimum
 equals log tan^2 of the Fubini-Study distance between the orbit closures
 of [(v, w)] and [(v, 0)] once v and w are scaled to unit length.  Both
-sides of that identity are estimated here, independently, by optimization
-over group parameters: L-BFGS on the moment-map gradient, with seeded
-restarts.  The results are estimates, never certificates.
+sides are estimated apart by L-BFGS on the moment-map gradient with seeded
+restarts, never certified; the moment map of sigma.P is planned once per
+polynomial on the dense coefficient basis of polyrep's tensor action.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ from .polyrep import (
     GroupElement,
     OnePSG,
     SparsePolynomial,
-    _column_degrees,
+    _coefficients,
+    _column_degree_array,
     _complex,
     _group_element,
+    _moment_plan,
     _monomial_weight,
     act,
     exact_gaussian_norm_sq,
@@ -98,9 +100,8 @@ def gaussian_inner(p: SparsePolynomial, q: SparsePolynomial) -> complex:
         raise ValueError("shape mismatch")
     total = 0j
     for exps, c in p.terms.items():
-        other = q.terms.get(exps)
-        if other is not None:
-            total += complex(c) * complex(other).conjugate() * _monomial_weight(exps)
+        if exps in q.terms:
+            total += complex(c) * complex(q.terms[exps]).conjugate() * _monomial_weight(exps)
     return total
 
 
@@ -132,8 +133,7 @@ def _ray_log_norm_ratio(p: AnyPolynomial, lam: OnePSG, log_ts: list) -> np.ndarr
         raise ValueError("ray profiles need sparse polynomials (or powers of them)")
     masses = np.array([2 * math.log(abs(complex(c))) + math.log(_monomial_weight(exps))
                        for exps, c in p.terms.items()])
-    pairings = np.array([lam.pair(_column_degrees(exps))
-                         for exps in p.terms], dtype=float)
+    pairings = _column_degree_array(p) @ np.array(lam.exponents, dtype=np.int64)
     base = _logsumexp(masses)
     return np.array([_logsumexp(masses + 2.0 * pairings * lt) - base for lt in log_ts])
 
@@ -324,40 +324,14 @@ def _sl_exp(params, n: int) -> tuple:
     return x, sigma
 
 
-def _terms(q: SparsePolynomial) -> tuple:
-    """(codes, exponents, coefficients, Gaussian weights, places) of the
-    terms of Q = sigma.P, in code order; P is nonzero, so Q = 0 is underflow.
-    A term's code is its exponent matrix in base degree + 1, one place per
-    entry (Python ints where the largest code would overflow int64)."""
-    if q.is_zero:
-        raise FloatingPointError("sigma.P underflows to zero")
-    places = [(q.degree + 1) ** i for i in range(q.shape.rows * q.shape.cols + 1)]
-    places = np.array(places, dtype=np.int64 if places[-1] < 2 ** 63 else object)
-    places = places[:-1].reshape(q.shape)
-    exps = np.array(list(q.terms), dtype=np.int64).reshape(len(q.terms), *q.shape)
-    codes = (exps * places).sum(axis=(1, 2))
-    order = np.argsort(codes)
-    coeffs = np.fromiter(q.terms.values(), complex, len(order))[order]
-    factorials = np.cumprod(np.maximum(np.arange(q.degree + 1, dtype=float), 1))
-    return codes[order], exps[order], coeffs, factorials[exps[order]].prod(axis=(1, 2)), places
-
-
-def _moment(q_terms: tuple, r_terms: tuple) -> tuple:
-    """(<Q, R>, M), M[k, l] = <D_kl Q, R>, from the `_terms` of Q and R (of
-    one shape and degree).  D_kl = sum over rows of x_{row,k} d/dx_{row,l}
-    is how E_kl acts, so d||(1 + tE).Q||^2/dt = 2 Re sum E_kl M_kl at t = 0
-    when R = Q.  D_kl maps x^a to a_{row,l} x^(a + e_{row,k} - e_{row,l}),
-    a fixed shift of the code, found among R's codes by one sorted search."""
-    codes, exps, coeffs, _, places = q_terms
-    r_codes, _, r_coeffs, r_weights, _ = r_terms
-    count, rows, n = exps.shape
-    shifted = codes[:, None, None, None] + (places[:, :, None] - places[:, None, :])
-    targets = np.concatenate([codes, shifted.ravel()])
-    pos = np.minimum(np.searchsorted(r_codes, targets), len(r_codes) - 1)
-    found = np.where(r_codes[pos] == targets, (np.conj(r_coeffs) * r_weights)[pos], 0)
-    moment = np.einsum("trl,trkl->kl", exps * coeffs[:, None, None],
-                       found[count:].reshape(count, rows, n, n))
-    return coeffs @ found[:count], moment
+def _pairing(plan: tuple, q: np.ndarray, r: np.ndarray) -> tuple:
+    """(<Q, R>, M), M[k, l] = <D_kl Q, R>, from Q and R on one plan's basis
+    by one gather and one einsum.  D_kl = sum over rows of x_{row,k}
+    d/dx_{row,l}, how E_kl acts, maps x^a to a_{row,l} x^(a + e_{row,k} -
+    e_{row,l}); d||(1 + tE).Q||^2/dt = 2 Re sum E_kl M_kl at t = 0 if R = Q."""
+    _, weights, targets, factors = plan
+    dual = np.conj(r) * weights
+    return q @ dual, np.einsum("trl,trkl->kl", q[:, None, None] * factors, dual[targets])
 
 
 def _pullback(x: np.ndarray, sigma: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -380,20 +354,20 @@ def _nu_objective(pair: PairSpec):
 
     A side B^(x)e (e = 1 unless a formal power) adds +-e times the log ratio
     log(||sigma.B||^2/||B||^2) and the moment map M/||sigma.B||^2 of sigma.B;
-    constants are fixed by the group and add nothing."""
+    constants are fixed by the group and add nothing; plans are built here."""
     n = pair.ambient
     sides = [(sign * p.exponent, p.base) if isinstance(p, FormalPower) else (sign, p)
              for sign, p in ((1, pair.w), (-1, pair.v))]
     if not all(isinstance(b, SparsePolynomial) for _, b in sides):
         raise ValueError("nu infimum estimation needs sparse pairs or formal powers of them")
-    sides = [(e, b, log_gaussian_norm_sq(b)) for e, b in sides if b.degree > 0]
+    sides = [(e, _moment_plan(b, n), log_gaussian_norm_sq(b)) for e, b in sides if b.degree > 0]
 
     def objective(params):
         x, sigma = _sl_exp(params, n)
         value, m = 0.0, np.zeros((n, n), dtype=complex)
-        for e, base, log_norm in sides:
-            terms = _terms(act(sigma, base))
-            norm, moment = _moment(terms, terms)
+        for e, plan, log_norm in sides:
+            q = _coefficients(plan, sigma)
+            norm, moment = _pairing(plan, q, q)
             value += e * (np.log(norm.real) - log_norm)
             m += e * moment / norm.real
         return value, _pullback(x, sigma, m)
@@ -403,17 +377,19 @@ def _nu_objective(pair: PairSpec):
 
 def _overlap_objective(v: SparsePolynomial, w: SparsePolynomial):
     """params -> (-log overlap, its gradient).  The halves of params give s1
-    and s2 by _sl_exp, and the overlap
+    and s2 by _sl_exp (v and w are planned here, once), and the overlap
     |<s1.v, s2.v>|^2 / ((||s1.v||^2 + ||s1.w||^2) ||s2.v||^2) is the squared
     cosine of the distance from [(s1.v, s1.w)] to [(s2.v, 0)]."""
     n = v.shape.cols
     half = 2 * (n * n - 1)
+    pv, pw = _moment_plan(v, n), _moment_plan(w, n)
 
     def objective(params):
         (x1, s1), (x2, s2) = _sl_exp(params[:half], n), _sl_exp(params[half:], n)
-        v1, w1, v2 = (_terms(act(s, p)) for s, p in ((s1, v), (s1, w), (s2, v)))
-        inner, mixed = _moment(v1, v2)
-        (a_v, m_v), (a_w, m_w), (b, m_b) = _moment(v1, v1), _moment(w1, w1), _moment(v2, v2)
+        v1, w1, v2 = _coefficients(pv, s1), _coefficients(pw, s1), _coefficients(pv, s2)
+        inner, mixed = _pairing(pv, v1, v2)
+        (a_v, m_v), (a_w, m_w), (b, m_b) = (_pairing(plan, q, q) for plan, q in
+                                            ((pv, v1), (pw, w1), (pv, v2)))
         a, b = (a_v + a_w).real, b.real
         value = np.log(a) + np.log(b) - np.log(abs(inner) ** 2)
         # <D_kl s2.v, s1.v> = conj(mixed[l, k]): D_kl and D_lk are adjoint
@@ -440,6 +416,11 @@ def _descend(objective, dim: int, restarts: int, seed, maxiter: int) -> tuple:
     as +inf, and the line search stops at the last accepted point.  Still
     improving in the last quarter of the restarts is not stabilized.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, not {restarts}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, not {maxiter}")
+
     def guarded(params):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):

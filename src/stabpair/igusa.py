@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from .polyrep import (
-    BlackBoxPolynomial,
     FormalPower,
     SparsePolynomial,
     exact_gaussian_norm_sq,

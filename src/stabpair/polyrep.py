@@ -65,7 +65,6 @@ __all__ = [
     "determinant_poly",
 ]
 
-ExponentMatrix = tuple  # tuple of row tuples of nonnegative ints
 EVALUATION_CHUNK = 4096  # samples per chunk of sparse batch evaluation
 
 
@@ -110,9 +109,9 @@ def _is_exact(c) -> bool:
     return isinstance(c, (int, Fraction))
 
 
-def _column_degrees(exps: ExponentMatrix) -> tuple:
-    cols = len(exps[0])
-    return tuple(sum(row[j] for row in exps) for j in range(cols))
+def _column_degree_array(p: "SparsePolynomial") -> np.ndarray:
+    """The column degrees of P's terms, one integer row per term in term order."""
+    return np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), *p.shape).sum(axis=1)
 
 
 class SparsePolynomial:
@@ -485,7 +484,7 @@ def support(p: AnyPolynomial) -> set:
             "construct it symbolically or supply the support explicitly")
     if p.is_zero:
         raise ValueError("zero polynomial has no support")
-    return {_column_degrees(exps) for exps in p.terms}
+    return set(map(tuple, _column_degree_array(p).tolist()))
 
 
 def act(sigma: Union[GroupElement, np.ndarray, Sequence], p: AnyPolynomial):
@@ -504,9 +503,16 @@ def act(sigma: Union[GroupElement, np.ndarray, Sequence], p: AnyPolynomial):
         return BlackBoxPolynomial(shape=p.shape, degree=p.degree,
                                   evaluator=lambda b: base(b @ mat),
                                   name=f"{p.name}.acted", check_samples=0)
-    if sigma.is_exact and p.has_exact_coefficients():
-        return _substitute(sigma.matrix, p, object)
-    return _substitute(_complex(sigma), p, complex)
+    exact = sigma.is_exact and p.has_exact_coefficients()
+    terms = {}  # the nonzero entries of `_tensors` as terms
+    for pattern, flat in _tensors(sigma.matrix if exact else _complex(sigma), p,
+                                  object if exact else complex):
+        nonzero = flat.nonzero()[0]
+        bases = [_sym_basis(p.shape.cols, d)[0] for d in pattern]
+        index = np.unravel_index(nonzero, [len(basis) for basis in bases])
+        rows = ([basis[i] for i in axis.tolist()] for basis, axis in zip(bases, index))
+        terms.update(zip(zip(*rows), flat[nonzero].tolist()))
+    return SparsePolynomial._trusted(p.shape, terms, p.degree)
 
 
 @lru_cache(maxsize=None)
@@ -555,8 +561,10 @@ def _action_plan(p: SparsePolynomial) -> tuple:
     return links, groups
 
 
-def _substitute(sig: np.ndarray, p: SparsePolynomial, dtype) -> SparsePolynomial:
-    """sigma . P on `dtype` (object for exact int / Fraction, or complex).
+def _tensors(sig: np.ndarray, p: SparsePolynomial, dtype) -> list:
+    """The numeric stage of sigma . P: (pattern, flat tensor of sigma.P on
+    the product of its rows' `_sym_basis` monomials) for each row-degree
+    pattern of P, on `dtype` (object for exact int / Fraction, or complex).
 
     Column a of S_d(sigma), the image of x^a, is its parent's column times
     the linear form sum_k sigma[k, l] x_k, so the columns P uses are built
@@ -573,19 +581,39 @@ def _substitute(sig: np.ndarray, p: SparsePolynomial, dtype) -> SparsePolynomial
         cols = np.zeros((down.shape[1] + 1, len(parent)), dtype=dtype)
         cols[:-1] = (columns[-1][down[:, :, None], parent] * sig[:, slot][:, None, :]).sum(axis=0)
         columns.append(cols)
-    terms = {}
+    tensors = []
     for pattern, shape, cells, coeffs in groups:
         tensor = np.zeros(math.prod(shape), dtype=dtype)
         tensor[cells] = coeffs
         for d, m in zip(reversed(pattern), reversed(shape)):
             tensor = columns[d][:-1, :m] @ tensor.reshape(-1, m).T
-        flat = tensor.ravel()
-        nonzero = flat.nonzero()[0]
-        bases = [_sym_basis(n, d)[0] for d in pattern]
-        index = np.unravel_index(nonzero, [len(basis) for basis in bases])
-        rows = ([basis[i] for i in axis.tolist()] for basis, axis in zip(bases, index))
-        terms.update(zip(zip(*rows), flat[nonzero].tolist()))
-    return SparsePolynomial._trusted(p.shape, terms, p.degree)
+        tensors.append((pattern, tensor.ravel()))
+    return tensors
+
+
+def _moment_plan(p: SparsePolynomial, n: int) -> tuple:
+    """(P, weights, targets, factors) on the dense basis of `_tensors(., P, .)`,
+    exponent matrices a with rows from `_sym_basis`: the Gaussian weight a!,
+    at [t, row, k, l] the position of a + e_{row,k} - e_{row,l} (a itself if
+    a_{row,l} = 0), and at [t, row, l] the factor a_{row,l}."""
+    if p.shape.cols != n:
+        raise ValueError(f"the polynomial has {p.shape.cols} columns, not the column count {n}")
+    basis = [a for pattern, _ in _tensors(np.eye(n), p, complex)
+             for a in itertools.product(*(_sym_basis(n, d)[0] for d in pattern))]
+    where = {a: t for t, a in enumerate(basis)}
+    targets = [[[[where.get(a[:r] + (tuple(x + (m == k) - (m == l) for m, x in enumerate(row)),)
+                            + a[r + 1:], t) for l in range(n)] for k in range(n)]
+                 for r, row in enumerate(a)] for t, a in enumerate(basis)]
+    weights = np.array([_monomial_weight(a) for a in basis], dtype=float)
+    return p, weights, np.array(targets), np.array(basis)
+
+
+def _coefficients(plan: tuple, sigma: np.ndarray) -> np.ndarray:
+    """sigma.P on its plan's basis; P is nonzero, so sigma.P = 0 is underflow."""
+    q = np.concatenate([flat for _, flat in _tensors(sigma, plan[0], complex)])
+    if not q.any():
+        raise FloatingPointError("sigma.P underflows to zero")
+    return q
 
 
 def evaluate(p: AnyPolynomial, a) -> complex:
@@ -647,12 +675,7 @@ def random_unimodular(n: int, rng_seed=0, steps: int = 12, bound: int = 2) -> Gr
 
 def _monomial_weight(exps) -> int:
     """Gaussian squared norm prod alpha_ij! of the monomial with exponents alpha."""
-    weight = 1
-    for row in exps:
-        for e in row:
-            if e > 1:
-                weight *= math.factorial(e)
-    return weight
+    return math.prod(math.factorial(e) for row in exps for e in row)
 
 
 def exact_gaussian_norm_sq(p: SparsePolynomial):
@@ -669,11 +692,8 @@ def exact_gaussian_norm_sq(p: SparsePolynomial):
     exact = p.has_exact_coefficients()
     total = Fraction(0) if exact else 0.0
     for exps, coeff in p.terms.items():
-        weight = _monomial_weight(exps)
-        if exact:
-            total += Fraction(coeff) * Fraction(coeff) * weight
-        else:
-            total += abs(complex(coeff)) ** 2 * weight
+        square = Fraction(coeff) ** 2 if exact else abs(complex(coeff)) ** 2
+        total += square * _monomial_weight(exps)
     return total
 
 

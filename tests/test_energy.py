@@ -8,12 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stabpair import energy, polyrep
 from stabpair.energy import (
-    _moment,
     _nu_objective,
     _overlap_objective,
+    _pairing,
     _sl_exp,
-    _terms,
     energy_report,
     gaussian_inner,
     gaussian_norm_sq,
@@ -33,6 +33,8 @@ from stabpair.polyrep import (
     MatrixShape,
     OnePSG,
     SparsePolynomial,
+    _coefficients,
+    _moment_plan,
     act,
     constant,
     determinant_poly,
@@ -369,6 +371,15 @@ def test_nu_infimum_raises_errors_that_are_not_numerical():
         nu_infimum(pair, restarts=1)
 
 
+@pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"restarts": -2}, {"maxiter": 0}])
+def test_optimizers_reject_a_negative_restart_count_or_an_empty_budget(kwargs):
+    # usage errors name the argument; OverflowError is kept for numerics
+    pair = PairSpec.of(constant(S12, 1), binary([1, 0, 1]))
+    for estimate in (nu_infimum, orbit_distance):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            estimate(pair, **kwargs)
+
+
 # -- analytic gradients ----------------------------------------------------------
 
 def _random_form(rng, shape, degree, exact):
@@ -400,33 +411,69 @@ def _moved(a, row, k, l):
     return tuple(map(tuple, b))
 
 
-@pytest.mark.parametrize("shape, degree", [(S13, 4), (MatrixShape(2, 11), 10)])
-def test_moment_matches_term_by_term_reference(shape, degree):
-    # <D_kl Q, R> summed over terms and rows.  Q holds a monomial and all its
-    # one-unit moves, so many D_kl images are terms of R; at 2 x 11 and total
-    # degree 20 the term codes outgrow int64 and run on Python ints
+def _moment_reference(q, r):
+    """<D_kl Q, R> summed term by term over Q's terms and every row."""
     from stabpair.polyrep import _monomial_weight
 
+    shape = q.shape
+    want = np.zeros((shape.cols, shape.cols), dtype=complex)
+    for a, c in q.terms.items():
+        for row, k, l in np.ndindex(shape.rows, shape.cols, shape.cols):
+            b = _moved(a, row, k, l)
+            if a[row][l] and b in r.terms:
+                want[k, l] += a[row][l] * c * complex(r.terms[b]).conjugate() * _monomial_weight(b)
+    return want
+
+
+def _assert_moment(q, sigma):
+    # Q = q on its plan's basis, R = sigma.q there; the reference reads the
+    # terms of q and of act(sigma, q)
+    plan = _moment_plan(q, q.shape.cols)
+    dense_q, dense_r = _coefficients(plan, np.eye(q.shape.cols)), _coefficients(plan, sigma)
+    r = act(sigma, q)
+    inner, moment = _pairing(plan, dense_q, dense_r)
+    want = _moment_reference(q, r)
+    assert inner == pytest.approx(gaussian_inner(q, r), rel=1e-12)
+    assert np.abs(moment - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape, degree", [(S13, 4), (MatrixShape(2, 3), 10),
+                                           (MatrixShape(1, 4), 5)])
+def test_moment_matches_term_by_term_reference(shape, degree):
+    # Q holds a monomial and all its one-unit moves, R = sigma.Q for a
+    # diagonal sigma, so R has Q's terms and many D_kl images are terms of R
     rng = np.random.default_rng(degree)
     base = tuple(map(tuple, rng.multinomial(degree, np.ones(shape.cols) / shape.cols,
                                             size=shape.rows)))
     moves = list(np.ndindex(shape.rows, shape.cols, shape.cols))
     q = SparsePolynomial(shape, {_moved(base, *m): complex(*rng.standard_normal(2))
                                  for m in moves if base[m[0]][m[2]]})
-    r = SparsePolynomial(shape, {a: c * (1 + 0.5j) + 0.1 for a, c in q.terms.items()})
-    want = np.zeros((shape.cols, shape.cols), dtype=complex)
-    for a, c in q.terms.items():
-        for row, k, l in moves:
-            b = _moved(a, row, k, l)
-            if a[row][l] and b in r.terms:
-                want[k, l] += a[row][l] * c * complex(r.terms[b]).conjugate() * _monomial_weight(b)
-    inner, moment = _moment(_terms(q), _terms(r))
-    assert inner == pytest.approx(gaussian_inner(q, r), rel=1e-12)
-    assert np.abs(moment - want).max() <= 1e-12 * np.abs(want).max()
+    _assert_moment(q, np.diag(np.exp(rng.standard_normal(shape.cols) * (1 + 0.5j))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: determinant_poly(2),
+    lambda rng: determinant_poly(3),
+    lambda rng: _random_form(rng, MatrixShape(2, 3), 3, False),
+    lambda rng: _random_form(rng, MatrixShape(1, 4), 3, True) + _random_form(
+        rng, MatrixShape(1, 4), 3, True),
+], ids=["det2", "det3", "random2x3", "random1x4"])
+def test_moment_matches_reference_on_acted_forms(make):
+    # R = sigma.Q for a dense sigma fills Q's whole basis
+    rng = np.random.default_rng(5)
+    q = make(rng)
+    n = q.shape.cols
+    _assert_moment(q, _sl_exp(0.5 * rng.standard_normal(2 * (n * n - 1)), n)[1])
+
+
+def test_moment_plan_rejects_a_column_count_mismatch():
+    with pytest.raises(ValueError, match="column count"):
+        _moment_plan(binary([1, 2, 1]), 3)
 
 
 @pytest.mark.parametrize("exact", [True, False])
-@pytest.mark.parametrize("shape", [S12, S13, MatrixShape(2, 4)])
+@pytest.mark.parametrize("shape", [S12, S13, MatrixShape(2, 4), MatrixShape(1, 4),
+                                   MatrixShape(2, 3)])
 def test_log_norm_gradient_matches_central_differences(shape, exact):
     # nu of (1, P) is log ||sigma.P||^2 less a constant; nu_pair, which sums
     # the norms term by term, is the reference for the value
@@ -440,13 +487,33 @@ def test_log_norm_gradient_matches_central_differences(shape, exact):
 
 
 def test_nu_gradient_scales_through_formal_powers():
+    # both sides powers, then one side a power and the other plain
     rng = np.random.default_rng(17)
     v, w = _random_form(rng, S13, 2, False), _random_form(rng, S13, 3, True)
-    pair = PairSpec.of(FormalPower(v, 3), FormalPower(w, 2))
-    _assert_gradient(_nu_objective(pair), 0.5 * rng.standard_normal(16))
+    for pair in (PairSpec.of(FormalPower(v, 3), FormalPower(w, 2)),
+                 PairSpec.of(FormalPower(v, 3), w)):
+        params = 0.5 * rng.standard_normal(16)
+        objective = _nu_objective(pair)
+        want = nu_pair(pair, _sl_exp(params, 3)[1])
+        assert objective(params)[0] == pytest.approx(want, rel=1e-12)
+        _assert_gradient(objective, params)
 
 
-@pytest.mark.parametrize("shape", [S12, S13])
+def test_gradients_on_the_2x2_determinant():
+    rng = np.random.default_rng(2)
+    det = determinant_poly(2)
+    pair = PairSpec.of(constant(MatrixShape(2, 2), 1), det)
+    params = 0.5 * rng.standard_normal(6)
+    # det is SL-invariant: nu is zero, and so is its gradient
+    value, grad = _nu_objective(pair)(params)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(grad).max() <= 1e-12
+    w = _random_form(rng, MatrixShape(2, 2), 1, False)
+    _assert_gradient(_nu_objective(PairSpec.of(det, w)), params)
+    _assert_gradient(_overlap_objective(det, w), 0.5 * rng.standard_normal(12))
+
+
+@pytest.mark.parametrize("shape", [S12, S13, MatrixShape(1, 4), MatrixShape(2, 3)])
 def test_overlap_gradient_matches_central_differences(shape):
     rng = np.random.default_rng(shape.cols)
     v, w = _random_form(rng, shape, 2, False), _random_form(rng, shape, 3, True)
@@ -460,3 +527,33 @@ def test_overlap_gradient_matches_central_differences(shape):
         (gaussian_norm_sq(v1) + gaussian_norm_sq(w1)) * gaussian_norm_sq(v2))
     assert objective(params)[0] == pytest.approx(-math.log(overlap), rel=1e-12)
     _assert_gradient(objective, params)
+
+
+def test_objective_evaluations_form_no_polynomial_group_element_or_plan(monkeypatch):
+    # plans are built with the objective; an evaluation reads them only
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(energy, "_moment_plan", counting("plan", energy._moment_plan))
+    monkeypatch.setattr(polyrep, "_action_plan", counting("action", polyrep._action_plan))
+    rng = np.random.default_rng(9)
+    v, w = _random_form(rng, S13, 2, False), _random_form(rng, S13, 3, True)
+    nu = _nu_objective(PairSpec.of(FormalPower(v, 2), w))
+    overlap = _overlap_objective(v, w)
+    assert calls.count("plan") == 4 and calls.count("action") == 2
+    calls.clear()
+    monkeypatch.setattr(SparsePolynomial, "__init__",
+                        counting("poly", SparsePolynomial.__init__))
+    monkeypatch.setattr(SparsePolynomial, "_trusted",
+                        classmethod(counting("poly", SparsePolynomial._trusted.__func__)))
+    monkeypatch.setattr(GroupElement, "__init__", counting("group", GroupElement.__init__))
+    nu(0.5 * rng.standard_normal(16))
+    overlap(0.5 * rng.standard_normal(32))
+    assert calls == []
+    assert isinstance(act(GroupElement.identity(3), v), SparsePolynomial)
+    assert calls == ["group", "poly"]  # the counters count

@@ -75,6 +75,23 @@ def test_support_examples():
         support(SparsePolynomial(MatrixShape(1, 2), {}))
 
 
+@pytest.mark.parametrize("family", ["resultant", "hyperdiscriminant"])
+def test_support_matches_per_term_column_degrees(family):
+    # the support reads one stacked exponent array; the reference sums each
+    # term's rows in Python
+    from stabpair import varieties
+
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 4):
+        form = getattr(varieties, f"rnc_{family}")(d)
+        for p in (form, act(random_unimodular(form.shape.cols, rng), form)):
+            want = {tuple(sum(row[j] for row in exps) for j in range(p.shape.cols))
+                    for exps in p.terms}
+            got = support(p)
+            assert got == want
+            assert all(type(x) is int for c in got for x in c)
+
+
 def test_character_projection():
     lam = OnePSG((1, 0, -1))
     assert lam.pair((0, 2, 0)) == 0
