@@ -12,6 +12,8 @@ height of P is
 where psi is the digamma function.  Moments are estimated by seeded,
 sharded Monte Carlo with deterministic merging; monomials and maximal-minor
 determinants additionally have closed forms through the gamma function.
+log Gamma comes from `math.lgamma` and psi from its recurrence and
+asymptotic series, so computing a height loads nothing from scipy.
 
 Two closed-form conventions for determinant moments are implemented and
 never reconciled: `standard`, prod_{k<=n} Gamma(s+k)/Gamma(k), matches the
@@ -78,19 +80,41 @@ class EvaluationError(RuntimeError):
     """Non-finite polynomial value met during Monte Carlo sampling."""
 
 
-def log_gamma(x):
-    """log Gamma, accurate to full double precision (vectorized).  scipy.special
-    is imported on first use, so commands that never need it skip loading it."""
-    from scipy.special import gammaln
+# B_2k / 2k for B_2 ... B_14, the asymptotic series of digamma; its first
+# omitted term is below 5e-17 at x >= 10
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
-    return gammaln(x)
+
+def _elementwise(f, x):
+    """f on every entry of x; a scalar for a scalar, else an array of x's shape."""
+    a = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in a.ravel().tolist()]).reshape(a.shape)[()]
+
+
+def _digamma_scalar(x: float) -> float:
+    if not x > 0:
+        raise ValueError(f"digamma is evaluated here for x > 0 only, got {x!r}")
+    shift = 0.0
+    while x < 10.0:  # psi(x) = psi(x + 1) - 1/x
+        shift += 1.0 / x
+        x += 1.0
+    t, tail = 1.0 / (x * x), 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        tail = (tail + c) * t
+    return math.log(x) - 0.5 / x - tail - shift
+
+
+def log_gamma(x):
+    """log Gamma by `math.lgamma`, entry by entry.  Within 1e-13 relative of
+    scipy's gammaln, or 2e-15 absolute within 0.1 of the zeros 1 and 2."""
+    return _elementwise(math.lgamma, x)
 
 
 def digamma(x):
-    """Gamma'(x)/Gamma(x), accurate to full double precision (vectorized)."""
-    from scipy.special import digamma as scipy_digamma
-
-    return scipy_digamma(x)
+    """psi(x) for x > 0, entry by entry: shifted up to x >= 10, then ln x -
+    1/(2x) - sum_k B_2k / (2k x^2k).  Within 1e-13 relative of scipy's
+    digamma, or 2e-15 absolute within 0.1 of its root near 1.4616."""
+    return _elementwise(_digamma_scalar, x)
 
 
 def harmonic(k: int) -> Fraction:

@@ -179,11 +179,15 @@ def _weight_table(v: AnyPolynomial, w: AnyPolynomial) -> list:
     N(v) <= N(w) exactly when no row has weight of v below weight of w; the
     rows follow `separating_functionals`, so the first failing one is a
     deterministic witness.  Only N(w) is hulled, and the weights of w are
-    read off its vertices, so each side's support is formed once.
+    read off its vertices, so each side's support is formed once.  The
+    vertices are shifted back onto the lattice first, so the weights are
+    integer sums; lam sums to zero, so the shift leaves them unchanged.
     """
     polytope = weight_polytope(w)
     lams = separating_functionals(polytope)
-    weights_w = [min(map(lam.pair, polytope.vertices)) for lam in lams]
+    shift = Fraction(w.degree, w.shape.cols)
+    vertices = [tuple(int(x + shift) for x in vertex) for vertex in polytope.vertices]
+    weights_w = [min(map(lam.pair, vertices)) for lam in lams]
     return list(zip(lams, _weights(v, lams), weights_w))
 
 

@@ -648,12 +648,18 @@ def _as_rng(seed) -> np.random.Generator:
 
 def gaussian_batch(shape: MatrixShape, count: int, rng_seed=0) -> np.ndarray:
     """`count` draws of the standard complex Gaussian on the matrix space:
-    i.i.d. entries with E|z_ij|^2 = 1, so the density is exp(-|Z|^2) / pi^dim."""
+    i.i.d. entries with E|z_ij|^2 = 1, so the density is exp(-|Z|^2) / pi^dim.
+    Real then imaginary parts go through one float buffer, each times
+    1/sqrt(2), which is bit for bit numpy's (re + 1j * im) / sqrt(2)."""
     rng = _as_rng(rng_seed)
     shape = MatrixShape(*shape)
-    re = rng.standard_normal((count, shape.rows, shape.cols))
-    im = rng.standard_normal((count, shape.rows, shape.cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    out = np.empty((count, shape.rows, shape.cols), dtype=complex)
+    buf = rng.standard_normal(out.shape)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(buf, scale, out=out.real)
+    rng.standard_normal(out=buf)
+    np.multiply(buf, scale, out=out.imag)
+    return out
 
 
 def random_unimodular(n: int, rng_seed=0, steps: int = 12, bound: int = 2) -> GroupElement:

@@ -97,6 +97,41 @@ def test_harmonic_matches_digamma():
         assert abs(float(harmonic(k)) - want) < 1e-12
 
 
+@pytest.mark.parametrize("name, roots", [("log_gamma", (1.0, 2.0)),
+                                         ("digamma", (1.4616321449683622,))])
+def test_gamma_functions_match_scipy(name, roots):
+    # relative agreement, except within 0.1 of a root, where it is absolute
+    from scipy import special
+
+    reference = {"log_gamma": special.gammaln, "digamma": special.digamma}[name]
+    rng = np.random.default_rng(19)
+    x = np.concatenate([500.0 - rng.uniform(0.0, 500.0, 3000),  # (0, 500]
+                        rng.uniform(0.0, 3.0, 1000), np.arange(1.0, 501.0)])
+    got, want = getattr(igusa, name)(x), reference(x)
+    near = np.min(np.abs(x[:, None] - np.array(roots)), axis=1) < 0.1
+    tol = np.where(near, 2e-15, 1e-13 * np.abs(want))
+    assert np.all(np.abs(got - want) <= tol)
+
+
+def test_digamma_at_integers_is_a_harmonic_sum():
+    for n in range(1, 301):
+        want = float(harmonic(n - 1)) - EULER_GAMMA
+        assert float(digamma(n)) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("fn", [log_gamma, digamma])
+def test_gamma_functions_keep_input_shapes(fn):
+    for x in (3, 2.5, np.float64(4.0), np.array(7.0)):
+        value = fn(x)
+        assert isinstance(value, float) and np.ndim(value) == 0
+    for shape in ((0,), (3,), (2, 2)):
+        x = np.arange(1, 1 + math.prod(shape), dtype=float).reshape(shape)
+        assert fn(x).shape == shape
+        assert fn(x.tolist()).shape == shape
+    with pytest.raises(ValueError):
+        fn(0.0)
+
+
 # -- mc_moment ---------------------------------------------------------------------
 
 def test_moment_s_zero_short_circuits():

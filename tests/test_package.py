@@ -33,8 +33,8 @@ def _loaded_after(code: str, modules: tuple) -> list:
 
 
 def test_cli_import_leaves_out_the_optimizer():
-    # scipy.optimize (the optimizers) and scipy.special (the gamma functions)
-    # are imported on first use, not at start-up
+    # scipy.optimize (the optimizers) is imported on first use, not at
+    # start-up; nothing in the library imports scipy.special
     assert _loaded_after("import stabpair.cli", ("scipy.optimize", "scipy.special")) == []
 
 
@@ -57,4 +57,19 @@ def test_benchmark_set_up_forms_leave_out_scipy():
             "varieties.rnc_hyperdiscriminant(12), varieties.rnc_hyperdiscriminant(24)\n"
             "for d in (2, 3, 4):\n"
             "    varieties.normalized_pair(varieties.rnc_example(d))")
+    assert _loaded_after(code, ("scipy",)) == []
+
+
+def test_heights_leave_out_scipy():
+    # heights, zetas and the discrepancy table take log Gamma and digamma
+    # from igusa itself; importing scipy.special would add about 16 MB to the
+    # peak memory of `stabpair height`
+    code = ("from stabpair import igusa, polyrep, varieties\n"
+            "igusa.height(polyrep.determinant_poly(3), samples=2000)\n"
+            "igusa.height(varieties.rnc_hyperdiscriminant(12), samples=2000)\n"
+            "igusa.height(polyrep.monomial(polyrep.MatrixShape(2, 3), ((2, 0, 1), (0, 1, 0))))\n"
+            "igusa.zeta(polyrep.determinant_poly(2), 1.0, samples=2000)\n"
+            "igusa.zeta_prime_zero(polyrep.determinant_poly(2), samples=2000)\n"
+            "igusa.height_det_closed(3)\n"
+            "varieties.discrepancy_table((4, 5), samples=2000)")
     assert _loaded_after(code, ("scipy",)) == []

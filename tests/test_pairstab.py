@@ -15,6 +15,7 @@ from stabpair.pairstab import (
     PairSpec,
     _probe_trial,
     _weight_table,
+    _weights,
     module_degree,
     ops_weight,
     semistable_diagonal,
@@ -492,6 +493,21 @@ def test_destabilizing_functional_direction():
             assert sum(want.exponents) == 0
             assert ops_weight(v, want) < ops_weight(w, want)
     assert 10 < found < 70
+
+
+def test_weight_table_reads_integer_weights_of_w_off_its_vertices():
+    # the vertices of N(w) shifted back onto the lattice give the weights of
+    # w over its whole support
+    from stabpair import varieties
+
+    for d in (2, 3, 4):
+        res, disc = varieties.rnc_resultant(d), varieties.rnc_hyperdiscriminant(d)
+        gd = random_unimodular(d + 1, np.random.default_rng(d))
+        for w in (res, disc, act(gd, res), act(gd, disc), FormalPower(disc, 3)):
+            table = _weight_table(w, w)
+            weights_w = [ww for _lam, _wv, ww in table]
+            assert weights_w == _weights(w, [lam for lam, _wv, _ww in table])
+            assert all(type(ww) is int for ww in weights_w)
 
 
 def reference_stable_search(pair, q, m_max, scheme, probe_trials, rng_seed):
