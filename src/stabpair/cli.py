@@ -359,6 +359,10 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_energy_scan(args) -> int:
+    try:
+        energy._check_decades(args.decades)
+    except ValueError as exc:
+        raise CLIUsageError(f"--{exc}") from exc
     pair = parse_pair_spec(args.pair)
     rng = np.random.default_rng(args.seed)
     rows = []

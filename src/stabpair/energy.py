@@ -17,8 +17,9 @@ nu is bounded below exactly when the pair is semistable, and the infimum
 equals log tan^2 of the Fubini-Study distance between the orbit closures
 of [(v, w)] and [(v, 0)] once v and w are scaled to unit length.  Both
 sides are estimated apart by L-BFGS on the moment-map gradient with seeded
-restarts, never certified; the moment map of sigma.P is planned once per
-polynomial on the dense coefficient basis of polyrep's tensor action.
+restarts, never certified, over the entries of sigma in GL(n) divided by
+det(sigma)^(1/n), so no exponential is taken; the moment map of sigma.P is
+planned once per polynomial on polyrep's dense tensor-action basis.
 """
 
 from __future__ import annotations
@@ -251,45 +252,45 @@ def _random_sum_zero(rng, n: int) -> OnePSG:
     return OnePSG(tuple(lam))
 
 
+def _check_decades(decades) -> None:
+    """Raise a ValueError naming decades unless 10^-decades is a positive normal float."""
+    if not math.log10(np.finfo(float).tiny) <= -decades <= math.log10(np.finfo(float).max):
+        raise ValueError(f"decades must keep 10^-decades a positive normal float, not {decades}")
+
+
 def properness_probe(pair: PairSpec, epsilon: float, b: float,
                      samples: int = 200, rng_seed=0,
                      decades: int = 6) -> PropernessEstimate:
     """Search for violations of nu >= epsilon * J + b.
 
     Samples diagonal one-parameter rays with |t| sweeping the requested
-    decades, plus random conjugated rays at moderate |t|.  Stops at the
-    first violation (which re-verifies by direct recomputation) or reports
-    the minimal margin seen.
-    """
+    decades in log space, plus random conjugated rays at moderate |t|.
+    Stops at the first violation (which re-verifies by direct recomputation)
+    or reports the minimal margin seen."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    _check_decades(decades)
     rng = np.random.default_rng(rng_seed)
     n = pair.ambient
-    count = 0
     min_margin = math.inf
     for k in range(samples):
         lam = _random_sum_zero(rng, n)
-        conjugated = bool(k % 2)
-        if conjugated:
+        if k % 2:  # conjugated
             t = 10.0 ** rng.uniform(-3, -0.3)
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             q = np.linalg.qr(g)[0]
-            sigma_mat = q @ lam.matrix(t) @ q.conj().T
-            sigma = GroupElement(sigma_mat)
+            sigma = GroupElement(q @ lam.matrix(t) @ q.conj().T)
             nu, j = _energies(_components(sigma, pair.v, pair.w, n), pair.degree_v)
         else:
             t = 10.0 ** rng.uniform(-decades, -0.3)
-            sigma = GroupElement(lam.matrix(t))
             nu, j = (float(x[0]) for x in _pair_along_ray(pair, lam, [t]))
-        count += 1
         margin = nu - epsilon * j - b
         min_margin = min(min_margin, margin)
         if margin < 0:
-            return PropernessEstimate(epsilon=epsilon, b=b, samples=count,
-                                      violated_at=sigma, min_margin=margin,
-                                      violation_value=(nu, j))
-    return PropernessEstimate(epsilon=epsilon, b=b, samples=count,
-                              min_margin=min_margin)
+            return PropernessEstimate(epsilon=epsilon, b=b, samples=k + 1,
+                                      violated_at=sigma if k % 2 else GroupElement(lam.matrix(t)),
+                                      min_margin=margin, violation_value=(nu, j))
+    return PropernessEstimate(epsilon=epsilon, b=b, samples=samples, min_margin=min_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +305,14 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _expm(mat: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
-
-    return expm(mat)
-
-
-def _sl_exp(params, n: int) -> tuple:
-    """(x, exp(x)) for the traceless complex n x n matrix x whose first
-    n^2 - 1 entries, row by row, are params[:n^2-1] + i params[n^2-1:].  A
-    determinant of exp(x) moved off 1 by rounding is a float failure: norms
-    taken there are noise."""
-    half = n * n - 1
-    x = np.append(np.asarray(params[:half]) + 1j * np.asarray(params[half:]), 0).reshape(n, n)
-    x[n - 1, n - 1] = -np.trace(x)
-    sigma = _expm(x)
-    if not abs(np.linalg.det(sigma) - 1) < 1e-6:
-        raise FloatingPointError("exp(x) lost its unit determinant to rounding")
-    return x, sigma
+def _gl(params, n: int) -> tuple:
+    """(sigma, complex log det sigma) for the n x n matrix sigma with entries, row by
+    row, params[:n^2] + i params[n^2:].  A singular sigma is a float failure."""
+    sigma = (params[:n * n] + 1j * params[n * n:]).reshape(n, n)
+    sign, log_abs = np.linalg.slogdet(sigma)
+    if sign == 0:
+        raise FloatingPointError("sigma is singular")
+    return sigma, log_abs + np.log(sign)
 
 
 def _pairing(plan: tuple, q: np.ndarray, r: np.ndarray) -> tuple:
@@ -334,106 +325,116 @@ def _pairing(plan: tuple, q: np.ndarray, r: np.ndarray) -> tuple:
     return q @ dual, np.einsum("trl,trkl->kl", q[:, None, None] * factors, dual[targets])
 
 
-def _pullback(x: np.ndarray, sigma: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Gradient in params, for (x, sigma) = _sl_exp(params, n), of
-    a function whose derivative along (1 + tE) sigma is 2 Re sum E_kl m_kl:
-    G = 2 conj(m) sigma^-H in d sigma = L(x, dx), L the Frechet derivative
-    of exp, pulled back by its adjoint L(x^H, G), the upper right block of
-    exp([[x^H, G], [0, x^H]]) (Higham, "Functions of Matrices", eq. 3.16)."""
-    n = len(x)
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = block[n:, n:] = x.conj().T
-    block[:n, n:] = 2 * np.conj(m) @ np.linalg.inv(sigma).conj().T
-    grad = _expm(block)[:n, n:].ravel()
-    grad = grad[:-1] - np.eye(n).ravel()[:-1] * grad[-1]
-    return np.concatenate([grad.real, grad.imag])
+def _gradient(sigma: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Gradient in params, for sigma = _gl(params, n)[0], of a function whose derivative
+    along (1 + tE) sigma is 2 Re sum E_kl m_kl: as E = d sigma sigma^-1, it is G = 2 m
+    sigma^-T, returned as (Re G, -Im G)."""
+    g = 2.0 * np.linalg.solve(sigma, m.T).T
+    if not np.isfinite(g).all():
+        raise FloatingPointError("sigma^-1 overflows")
+    return np.concatenate([g.real.ravel(), -g.imag.ravel()])
 
 
 def _nu_objective(pair: PairSpec):
-    """params -> (nu, its gradient) at sigma = _sl_exp(params, n)[1].
-
-    A side B^(x)e (e = 1 unless a formal power) adds +-e times the log ratio
-    log(||sigma.B||^2/||B||^2) and the moment map M/||sigma.B||^2 of sigma.B;
-    constants are fixed by the group and add nothing; plans are built here."""
+    """params -> (nu, its gradient) at sigma / det(sigma)^(1/n), sigma = _gl(params, n)[0].
+    A side B^(x)e (e = 1 unless a formal power) adds +-e times log(||sigma.B||^2/||B||^2)
+    - (deg B/n) log|det sigma|^2 and the moment map M/||sigma.B||^2 - (deg B/n) I of
+    sigma.B; constants are fixed by the group and add nothing; plans are built here."""
     n = pair.ambient
     sides = [(sign * p.exponent, p.base) if isinstance(p, FormalPower) else (sign, p)
              for sign, p in ((1, pair.w), (-1, pair.v))]
     if not all(isinstance(b, SparsePolynomial) for _, b in sides):
         raise ValueError("nu infimum estimation needs sparse pairs or formal powers of them")
+    shift = sum(e * b.degree for e, b in sides) / n
     sides = [(e, _moment_plan(b, n), log_gaussian_norm_sq(b)) for e, b in sides if b.degree > 0]
 
     def objective(params):
-        x, sigma = _sl_exp(params, n)
-        value, m = 0.0, np.zeros((n, n), dtype=complex)
+        sigma, log_det = _gl(params, n)
+        value, m = -2 * shift * log_det.real, -shift * np.eye(n, dtype=complex)
         for e, plan, log_norm in sides:
             q = _coefficients(plan, sigma)
             norm, moment = _pairing(plan, q, q)
             value += e * (np.log(norm.real) - log_norm)
             m += e * moment / norm.real
-        return value, _pullback(x, sigma, m)
+        return value, _gradient(sigma, m)
 
     return objective
 
 
 def _overlap_objective(v: SparsePolynomial, w: SparsePolynomial):
-    """params -> (-log overlap, its gradient).  The halves of params give s1
-    and s2 by _sl_exp (v and w are planned here, once), and the overlap
-    |<s1.v, s2.v>|^2 / ((||s1.v||^2 + ||s1.w||^2) ||s2.v||^2) is the squared
-    cosine of the distance from [(s1.v, s1.w)] to [(s2.v, 0)]."""
+    """params -> (-log overlap, its gradient).  The halves of params give s1 and s2 by
+    _gl (v and w are planned here, once); the overlap |<s1.v, s2.v>|^2 / ((||s1.v||^2 +
+    ||s1.w||^2) ||s2.v||^2), s1 and s2 divided by det^(1/n), is the squared cosine of
+    the distance from [(s1.v, s1.w)] to [(s2.v, 0)].  Scaling s2 leaves it as it is."""
     n = v.shape.cols
-    half = 2 * (n * n - 1)
     pv, pw = _moment_plan(v, n), _moment_plan(w, n)
+    shift = (w.degree - v.degree) / n
 
     def objective(params):
-        (x1, s1), (x2, s2) = _sl_exp(params[:half], n), _sl_exp(params[half:], n)
-        v1, w1, v2 = _coefficients(pv, s1), _coefficients(pw, s1), _coefficients(pv, s2)
+        (s1, log_det), (s2, _) = (_gl(half, n) for half in np.split(params, 2))
+        v1, v2 = _coefficients(pv, s1), _coefficients(pv, s2)
+        # scaling s1 by c weights s1.w against s1.v by |c|^(2 deg w - 2 deg v)
+        w1 = _coefficients(pw, s1) * np.exp(-shift * log_det.real)
         inner, mixed = _pairing(pv, v1, v2)
         (a_v, m_v), (a_w, m_w), (b, m_b) = (_pairing(plan, q, q) for plan, q in
                                             ((pv, v1), (pw, w1), (pv, v2)))
         a, b = (a_v + a_w).real, b.real
         value = np.log(a) + np.log(b) - np.log(abs(inner) ** 2)
         # <D_kl s2.v, s1.v> = conj(mixed[l, k]): D_kl and D_lk are adjoint
-        g1 = (m_v + m_w) / a - mixed / inner
+        g1 = (m_v + m_w) / a - mixed / inner - shift * a_w.real / a * np.eye(n)
         g2 = m_b / b - mixed.conj().T / np.conj(inner)
-        return value, np.concatenate([_pullback(x1, s1, g1), _pullback(x2, s2, g2)])
+        return value, np.concatenate([_gradient(s1, g1), _gradient(s2, g2)])
 
     return objective
 
 
-def _restart_points(dim: int, restarts: int, seed) -> list:
-    """Deterministic per-restart starting points (independent seed streams,
-    so any execution order reproduces the same set)."""
+def _restart_points(n: int, copies: int, restarts: int, seed) -> np.ndarray:
+    """Starting params of `copies` matrices, one row each: the identity, then I + z per
+    restart, z traceless with first n^2 - 1 entries x[:n^2-1] + i x[n^2-1:], row by row,
+    for each block x of the restart's own seeded draw, so any order gives the same set."""
+    dim = 2 * (n * n - 1) * copies
     rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts))
-    return [rng.standard_normal(dim) * rng.uniform(0.2, 1.5) for rng in rngs]
+    draws = [np.zeros(dim)] + [rng.standard_normal(dim) * rng.uniform(0.2, 1.5) for rng in rngs]
+    re, im = np.reshape(draws, (-1, 2, n * n - 1)).transpose(1, 0, 2)
+    z = np.pad(re + 1j * im, ((0, 0), (0, 1))).reshape(-1, n, n)
+    z[:, -1, -1] = -np.trace(z, axis1=1, axis2=2)
+    z += np.eye(n)
+    return np.stack([z.real, z.imag], axis=1).reshape(restarts + 1, -1)
 
 
-def _descend(objective, dim: int, restarts: int, seed, maxiter: int) -> tuple:
+def _descend(objective, n: int, copies: int, restarts: int, seed, maxiter: int) -> tuple:
     """(best value, its params, stabilized): L-BFGS on objective(params) ->
-    (value, gradient) from the identity and each seeded restart point.
+    (value, gradient) over the entries of `copies` matrices in GL(n), as _gl
+    reads them, from the identity and each seeded restart point.
 
-    A restart must beat the best by 1e-9, so ties keep the earliest.  A trial
-    point where a float overflows or sigma.P underflows to zero is rejected
-    as +inf, and the line search stops at the last accepted point.  Still
-    improving in the last quarter of the restarts is not stabilized.
-    """
+    A trial point where a float overflows, sigma is singular or sigma.P
+    underflows to zero is rejected as +inf.  A run reports the best point it
+    evaluated, as L-BFGS-B can end on a failed line search's last trial; it
+    must beat the best by 1e-9, so ties keep the earliest.  Still improving
+    in the last quarter of the restarts is not stabilized."""
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, not {restarts}")
     if maxiter < 1:
         raise ValueError(f"maxiter must be >= 1, not {maxiter}")
+    best_params, *starts = _restart_points(n, copies, restarts, seed)
+    run = [math.inf, best_params]  # the best (value, params) of the current run
 
     def guarded(params):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-                return objective(params)
+                value, grad = objective(params)
         except FloatingPointError:
-            return math.inf, np.zeros(dim)
+            return math.inf, np.zeros_like(params)
+        if value < run[0]:
+            run[:] = float(value), params.copy()
+        return value, grad
 
-    best, best_params, last_improvement = guarded(np.zeros(dim))[0], np.zeros(dim), 0
-    for idx, start in enumerate(_restart_points(dim, restarts, seed), 1):
-        res = minimize(guarded, start, jac=True, method="L-BFGS-B",
-                       options={"maxiter": maxiter})
-        if res.fun < best - 1e-9:
-            best, best_params, last_improvement = float(res.fun), res.x, idx
+    best, last_improvement = float(guarded(best_params)[0]), 0
+    for idx, start in enumerate(starts, 1):
+        run[0] = math.inf
+        minimize(guarded, start, jac=True, method="L-BFGS-B", options={"maxiter": maxiter})
+        if run[0] < best - 1e-9:
+            best, best_params, last_improvement = run[0], run[1], idx
     return best, best_params, last_improvement <= max(1, (3 * restarts) // 4)
 
 
@@ -445,13 +446,13 @@ class NuInfimumEstimate(NamedTuple):
 
 def nu_infimum(pair: PairSpec, restarts: int = 20, seed=0,
                maxiter: int = 300) -> NuInfimumEstimate:
-    """Descended estimate of inf nu over the group (never a certificate);
-    sparse pairs and formal powers of them only, as black boxes have neither
-    exact norms nor a gradient."""
+    """Descended estimate of inf nu over the group (never a certificate) and a
+    sigma of determinant 1 reaching it; sparse pairs and formal powers of them
+    only, as black boxes have neither exact norms nor a gradient."""
     n = pair.ambient
-    value, params, stabilized = _descend(_nu_objective(pair), 2 * (n * n - 1),
-                                         restarts, seed, maxiter)
-    return NuInfimumEstimate(value, GroupElement(_sl_exp(params, n)[1]), stabilized)
+    value, params, stabilized = _descend(_nu_objective(pair), n, 1, restarts, seed, maxiter)
+    sigma, log_det = _gl(params, n)
+    return NuInfimumEstimate(value, GroupElement(sigma / np.exp(log_det / n)), stabilized)
 
 
 @dataclass
@@ -477,10 +478,9 @@ def orbit_distance(pair: PairSpec, restarts: int = 30, seed=0,
         raise ValueError("orbit distance estimation needs expanded sparse pairs")
     if pair.ambient > 4:
         raise ValueError("orbit distance optimization is supported for N+1 <= 4")
-    n = pair.ambient
     objective = _overlap_objective(*(p * (1.0 / math.sqrt(gaussian_norm_sq(p)))
                                      for p in (pair.v, pair.w)))
-    value, _, stabilized = _descend(objective, 4 * (n * n - 1), restarts, seed, maxiter)
+    value, _, stabilized = _descend(objective, pair.ambient, 2, restarts, seed, maxiter)
     best = min(max(math.exp(-value), 0.0), 1.0)
     distance = math.acos(math.sqrt(best))
     log_tan_sq = -math.inf if distance == 0.0 else 2.0 * math.log(math.tan(distance))

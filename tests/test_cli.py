@@ -139,6 +139,16 @@ def test_energy_scan_formal_powers_scale_linearly(capsys):
     assert squared == [[2 * nu, 2 * j] for nu, j in plain]
 
 
+def test_energy_scan_decades_out_of_range_is_a_usage_error(capsys):
+    # 10^-decades must stay a positive normal float: 1e-307 is, 1e-308 is not
+    args = ["energy-scan", "--pair", "v=res:2,w=disc:2", "--rays", "1", "--points", "3"]
+    assert run(args + ["--decades", "307"]) == 0
+    for decades in ("308", "400", "-309"):
+        capsys.readouterr()
+        assert run(args + ["--decades", decades]) == 2
+        assert capsys.readouterr().err.startswith("error: --decades ")
+
+
 def test_zeta_command_det_closed_forms(tmp_path):
     # det:1 lives on the 1x1 space: D = 1, so Z(det_1; 1) = Gamma(1)/Gamma(2) = 1
     out = tmp_path / "zeta.json"

@@ -10,10 +10,11 @@ import pytest
 
 from stabpair import energy, polyrep
 from stabpair.energy import (
+    _descend,
+    _gl,
     _nu_objective,
     _overlap_objective,
     _pairing,
-    _sl_exp,
     energy_report,
     gaussian_inner,
     gaussian_norm_sq,
@@ -283,6 +284,18 @@ def test_properness_violated_for_reflexive_pair():
                                                 degree=pair.degree_v) - 1.0 + 1e-6
 
 
+def test_properness_probe_rejects_decades_past_the_float_range():
+    # 10^-decades must stay a positive normal float; in range, diagonal rays
+    # run in log space, so even |t| = 1e-300 forms no group element
+    w = binary([1, 1, 1])
+    pair = PairSpec.of(constant(S12, 1), w)
+    for decades in (308, 400, -309):
+        with pytest.raises(ValueError, match="decades"):
+            properness_probe(pair, epsilon=1e-6, b=-1.0, samples=4, decades=decades)
+    est = properness_probe(pair, epsilon=1e-6, b=-1.0, samples=50, rng_seed=5, decades=307)
+    assert est.violated_at is None and est.min_margin > 0
+
+
 def test_properness_survives_for_interior_mumford_pair():
     # w with the origin interior to its weight polytope keeps nu bounded
     # below along every sampled ray (positive slope both ways)
@@ -353,6 +366,34 @@ def test_nu_infimum_unbounded_below_stays_finite():
     assert est.value <= -10
 
 
+@pytest.mark.parametrize("pair", [
+    PairSpec.of(constant(S12, 1), binary([1, 1, 0])),
+    PairSpec.of(constant(S13, 1), monomial(S13, ((1, 1, 1),))),
+], ids=["z0^2+z0z1", "z0z1z2"])
+def test_nu_infimum_returns_sigma_in_sl(pair):
+    # the search runs in GL(n); the reported sigma is divided by det^(1/n)
+    est = nu_infimum(pair, restarts=3, seed=1, maxiter=150)
+    assert abs(complex(est.sigma.det) - 1) < 1e-9
+    assert nu_pair(pair, est.sigma) == pytest.approx(est.value, abs=1e-9)
+
+
+def test_optimizers_are_deterministic_in_the_seed():
+    pair = PairSpec.of(constant(S12, 1), binary([1, 1, 0]))
+    a, b = (nu_infimum(pair, restarts=3, seed=8, maxiter=150) for _ in range(2))
+    assert a.value == b.value and a.sigma.matrix.tobytes() == b.sigma.matrix.tobytes()
+    c, d = (orbit_distance(pair, restarts=2, seed=8, maxiter=200) for _ in range(2))
+    assert c.log_tan_sq == d.log_tan_sq
+
+
+def test_a_run_reports_its_best_point_not_its_last_trial():
+    # on (1, z0^2) a line search can leap near the singular set and fail
+    # there; L-BFGS-B then ends on that failed search's last trial, which at
+    # these seeds lies above zero, far from the run's best point
+    pair = PairSpec.of(constant(S12, 1), monomial(S12, ((2, 0),)))
+    for seed in (7, 12):
+        assert nu_infimum(pair, restarts=3, seed=seed, maxiter=150).value <= -10
+
+
 def test_nu_infimum_rejects_black_boxes():
     from stabpair.polyrep import BlackBoxPolynomial
 
@@ -390,6 +431,25 @@ def _random_form(rng, shape, degree, exact):
         terms[tuple(map(tuple, exps))] = (Fraction(int(rng.integers(1, 5)), 3) if exact
                                           else complex(*rng.standard_normal(2)))
     return SparsePolynomial(shape, terms)
+
+
+def _gl_params(*sigmas):
+    """params of the matrices, in the layout _gl reads."""
+    return np.concatenate([np.concatenate([np.real(s).ravel(), np.imag(s).ravel()])
+                           for s in sigmas])
+
+
+def _random_params(rng, n, copies=1):
+    """params of I + g/2 for `copies` complex Gaussian matrices g: dense, det off 1."""
+    return _gl_params(*(np.eye(n) + 0.5 * (rng.standard_normal((n, n))
+                                           + 1j * rng.standard_normal((n, n)))
+                        for _ in range(copies)))
+
+
+def _sl(params, n):
+    """sigma / det(sigma)^(1/n), sigma = _gl(params, n)[0]: where the objectives evaluate."""
+    sigma = _gl(params, n)[0]
+    return sigma / np.linalg.det(sigma) ** (1 / n)
 
 
 def _assert_gradient(objective, params, step=1e-6):
@@ -459,11 +519,12 @@ def test_moment_matches_term_by_term_reference(shape, degree):
         rng, MatrixShape(1, 4), 3, True),
 ], ids=["det2", "det3", "random2x3", "random1x4"])
 def test_moment_matches_reference_on_acted_forms(make):
-    # R = sigma.Q for a dense sigma fills Q's whole basis
+    # R = sigma.Q for a dense sigma of determinant 1 fills Q's whole basis
     rng = np.random.default_rng(5)
     q = make(rng)
     n = q.shape.cols
-    _assert_moment(q, _sl_exp(0.5 * rng.standard_normal(2 * (n * n - 1)), n)[1])
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    _assert_moment(q, g / np.linalg.det(g) ** (1 / n))
 
 
 def test_moment_plan_rejects_a_column_count_mismatch():
@@ -479,9 +540,9 @@ def test_log_norm_gradient_matches_central_differences(shape, exact):
     # the norms term by term, is the reference for the value
     rng = np.random.default_rng(shape.rows * 10 + shape.cols)
     pair = PairSpec.of(constant(shape, 1), _random_form(rng, shape, 2, exact))
-    params = 0.5 * rng.standard_normal(2 * (shape.cols ** 2 - 1))
+    params = _random_params(rng, shape.cols)
     objective = _nu_objective(pair)
-    want = nu_pair(pair, _sl_exp(params, shape.cols)[1])
+    want = nu_pair(pair, _sl(params, shape.cols))
     assert objective(params)[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
     _assert_gradient(objective, params)
 
@@ -492,9 +553,9 @@ def test_nu_gradient_scales_through_formal_powers():
     v, w = _random_form(rng, S13, 2, False), _random_form(rng, S13, 3, True)
     for pair in (PairSpec.of(FormalPower(v, 3), FormalPower(w, 2)),
                  PairSpec.of(FormalPower(v, 3), w)):
-        params = 0.5 * rng.standard_normal(16)
+        params = _random_params(rng, 3)
         objective = _nu_objective(pair)
-        want = nu_pair(pair, _sl_exp(params, 3)[1])
+        want = nu_pair(pair, _sl(params, 3))
         assert objective(params)[0] == pytest.approx(want, rel=1e-12)
         _assert_gradient(objective, params)
 
@@ -503,30 +564,59 @@ def test_gradients_on_the_2x2_determinant():
     rng = np.random.default_rng(2)
     det = determinant_poly(2)
     pair = PairSpec.of(constant(MatrixShape(2, 2), 1), det)
-    params = 0.5 * rng.standard_normal(6)
+    params = _random_params(rng, 2)
     # det is SL-invariant: nu is zero, and so is its gradient
     value, grad = _nu_objective(pair)(params)
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.abs(grad).max() <= 1e-12
     w = _random_form(rng, MatrixShape(2, 2), 1, False)
     _assert_gradient(_nu_objective(PairSpec.of(det, w)), params)
-    _assert_gradient(_overlap_objective(det, w), 0.5 * rng.standard_normal(12))
+    _assert_gradient(_overlap_objective(det, w), _random_params(rng, 2, 2))
 
 
 @pytest.mark.parametrize("shape", [S12, S13, MatrixShape(1, 4), MatrixShape(2, 3)])
 def test_overlap_gradient_matches_central_differences(shape):
     rng = np.random.default_rng(shape.cols)
     v, w = _random_form(rng, shape, 2, False), _random_form(rng, shape, 3, True)
-    half = 2 * (shape.cols ** 2 - 1)
-    params = 0.5 * rng.standard_normal(2 * half)
+    params = _random_params(rng, shape.cols, 2)
     objective = _overlap_objective(v, w)
     # the reference overlap, from gaussian_inner and gaussian_norm_sq
-    s1, s2 = _sl_exp(params[:half], shape.cols)[1], _sl_exp(params[half:], shape.cols)[1]
+    s1, s2 = (_sl(half, shape.cols) for half in np.split(params, 2))
     v1, w1, v2 = act(s1, v), act(s1, w), act(s2, v)
     overlap = abs(gaussian_inner(v1, v2)) ** 2 / (
         (gaussian_norm_sq(v1) + gaussian_norm_sq(w1)) * gaussian_norm_sq(v2))
     assert objective(params)[0] == pytest.approx(-math.log(overlap), rel=1e-12)
     _assert_gradient(objective, params)
+
+
+def test_objectives_are_invariant_under_scaling_sigma():
+    # the |det| normalization makes nu and the overlap functions on SL(n):
+    # deg v != deg w, so without it scaling would move both
+    rng = np.random.default_rng(23)
+    v, w = _random_form(rng, S13, 2, False), _random_form(rng, S13, 3, True)
+    for objective, copies in ((_nu_objective(PairSpec.of(v, w)), 1),
+                              (_overlap_objective(v, w), 2)):
+        params = _random_params(rng, 3, copies)
+        c = rng.standard_normal(copies) + 1j * rng.standard_normal(copies)
+        sigmas = (_gl(half, 3)[0] for half in np.split(params, copies))
+        scaled = _gl_params(*(ck * s for ck, s in zip(c, sigmas)))
+        assert objective(scaled)[0] == pytest.approx(objective(params)[0], rel=1e-12)
+
+
+def test_singular_trial_points_are_rejected_as_inf():
+    # the zero matrix and a rank-one sigma read slogdet sign 0; _descend's
+    # guard turns that into +inf, with no LinAlgError and no warning.  With
+    # no restarts it evaluates one point, here the singular one
+    rng = np.random.default_rng(29)
+    v, w = _random_form(rng, S12, 2, False), _random_form(rng, S12, 3, True)
+    nu, overlap, eye = _nu_objective(PairSpec.of(v, w)), _overlap_objective(v, w), np.eye(2)
+    for bad in (np.zeros((2, 2)), np.outer([1, 2j], [3, -1])):
+        for objective, params in ((nu, _gl_params(bad)), (overlap, _gl_params(bad, eye)),
+                                  (overlap, _gl_params(eye, bad))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = _descend(lambda _: objective(params), 2, len(params) // 8, 0, 0, 1)[0]
+            assert value == math.inf
 
 
 def test_objective_evaluations_form_no_polynomial_group_element_or_plan(monkeypatch):
@@ -552,8 +642,8 @@ def test_objective_evaluations_form_no_polynomial_group_element_or_plan(monkeypa
     monkeypatch.setattr(SparsePolynomial, "_trusted",
                         classmethod(counting("poly", SparsePolynomial._trusted.__func__)))
     monkeypatch.setattr(GroupElement, "__init__", counting("group", GroupElement.__init__))
-    nu(0.5 * rng.standard_normal(16))
-    overlap(0.5 * rng.standard_normal(32))
+    nu(_random_params(rng, 3))
+    overlap(_random_params(rng, 3, 2))
     assert calls == []
     assert isinstance(act(GroupElement.identity(3), v), SparsePolynomial)
     assert calls == ["group", "poly"]  # the counters count
