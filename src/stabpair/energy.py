@@ -238,9 +238,10 @@ class PropernessEstimate:
     epsilon: float
     b: float
     samples: int
-    violated_at: Optional[GroupElement] = None
+    violated_at: Optional[GroupElement] = None  # None past the float range, see `ray`
     min_margin: float = math.inf
     violation_value: Optional[tuple] = None  # (nu, j) at the violation
+    ray: Optional[tuple] = None  # (lam, t) at a violation on a diagonal ray
 
 
 def _random_sum_zero(rng, n: int) -> OnePSG:
@@ -252,9 +253,14 @@ def _random_sum_zero(rng, n: int) -> OnePSG:
     return OnePSG(tuple(lam))
 
 
+def _is_normal_power(log10_x: float) -> bool:
+    """Whether 10^log10_x is a positive normal float."""
+    return math.log10(np.finfo(float).tiny) <= log10_x <= math.log10(np.finfo(float).max)
+
+
 def _check_decades(decades) -> None:
     """Raise a ValueError naming decades unless 10^-decades is a positive normal float."""
-    if not math.log10(np.finfo(float).tiny) <= -decades <= math.log10(np.finfo(float).max):
+    if not _is_normal_power(-decades):
         raise ValueError(f"decades must keep 10^-decades a positive normal float, not {decades}")
 
 
@@ -266,7 +272,9 @@ def properness_probe(pair: PairSpec, epsilon: float, b: float,
     Samples diagonal one-parameter rays with |t| sweeping the requested
     decades in log space, plus random conjugated rays at moderate |t|.
     Stops at the first violation (which re-verifies by direct recomputation)
-    or reports the minimal margin seen."""
+    or reports the minimal margin seen.  A diagonal violation also reports
+    its ray (lam, t); its group element lam(t) is None when some t^e is not
+    a positive normal float."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _check_decades(decades)
@@ -284,12 +292,15 @@ def properness_probe(pair: PairSpec, epsilon: float, b: float,
         else:
             t = 10.0 ** rng.uniform(-decades, -0.3)
             nu, j = (float(x[0]) for x in _pair_along_ray(pair, lam, [t]))
+            sigma = None  # lam(t), formed only at a violation
         margin = nu - epsilon * j - b
         min_margin = min(min_margin, margin)
         if margin < 0:
-            return PropernessEstimate(epsilon=epsilon, b=b, samples=k + 1,
-                                      violated_at=sigma if k % 2 else GroupElement(lam.matrix(t)),
-                                      min_margin=margin, violation_value=(nu, j))
+            if sigma is None and all(_is_normal_power(e * math.log10(t)) for e in lam.exponents):
+                sigma = GroupElement(lam.matrix(t))
+            return PropernessEstimate(epsilon=epsilon, b=b, samples=k + 1, violated_at=sigma,
+                                      min_margin=margin, violation_value=(nu, j),
+                                      ray=None if k % 2 else (lam, t))
     return PropernessEstimate(epsilon=epsilon, b=b, samples=samples, min_margin=min_margin)
 
 

@@ -26,7 +26,9 @@ black-box polynomials (one evaluator mapping a (count, rows, cols) stack to
 count values, with a declared degree that is spot-checked for homogeneity),
 and formal tensor powers defer to linearity rules for weights, polytopes
 and log-norms.  Sparse polynomials evaluate through one term loop over
-cache-sized sample chunks; for both kinds a single point is a batch of one.
+cache-sized sample chunks, unless a subclass supplies its batch values
+(the expanded rational-normal-curve forms of `varieties` evaluate by their
+Bezout determinants); for both kinds a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ __all__ = [
     "determinant_poly",
 ]
 
-EVALUATION_CHUNK = 4096  # samples per chunk of sparse batch evaluation
+EVALUATION_CHUNK = 4096  # samples per chunk of batch evaluation, by terms or Bezout minors
 
 
 class MatrixShape(NamedTuple):
@@ -258,11 +260,15 @@ class SparsePolynomial:
         return complex(self.evaluate_batch(a[None])[0])
 
     def evaluate_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Vectorized values on a (count, rows, cols) stack of matrices, over
-        chunks of EVALUATION_CHUNK samples whose powers stay in cache."""
+        """Vectorized values on a (count, rows, cols) stack of matrices."""
         batch = np.asarray(batch, dtype=complex)
         if batch.ndim != 3 or batch.shape[1:] != tuple(self.shape):
             raise ValueError("batch shape mismatch")
+        return self._batch_values(batch)
+
+    def _batch_values(self, batch: np.ndarray) -> np.ndarray:
+        """The term loop on a checked batch, over chunks of EVALUATION_CHUNK
+        samples whose powers stay in cache."""
         out = np.empty(len(batch), dtype=complex)
         for lo in range(0, len(out), EVALUATION_CHUNK):
             x = np.moveaxis(batch[lo:lo + EVALUATION_CHUNK], 0, -1)
@@ -530,11 +536,13 @@ def _sym_basis(n: int, d: int) -> tuple:
 
 
 def _action_plan(p: SparsePolynomial) -> tuple:
-    """(links, groups), the part of `_substitute` that depends on P alone.
+    """(links, groups), the part of `_tensors` that depends on P alone.
 
     The row exponents of each degree are numbered, inputs first, and closed
-    under a -> a - e_l with l the first nonzero slot; links[d - 1] holds the
-    parent numbers and slots l of degree d.  A group is a row-degree
+    under a -> a - e_l with l the first nonzero slot, the parent of a.
+    links[d - 1] holds the flat positions that degree d gathers: at
+    [k, i, j], row down[k, i] of its parent's column in the degree d - 1
+    column array, and sigma[k, l] in sigma.  A group is a row-degree
     pattern, its tensor shape over the input numbers, and the flat cells
     and coefficients of its terms.
     """
@@ -545,13 +553,15 @@ def _action_plan(p: SparsePolynomial) -> tuple:
         for row, d in zip(exps, pattern):
             levels.setdefault(d, {}).setdefault(row, len(levels[d]))
     used = {d: len(level) for d, level in levels.items()}
+    n = p.shape.cols
     links = []
     for d in range(max(levels, default=0), 0, -1):
         below = levels.setdefault(d - 1, {})
         slots = [next(k for k, e in enumerate(a) if e) for a in levels[d]]
         parents = [below.setdefault(a[:l] + (a[l] - 1,) + a[l + 1:], len(below))
                    for a, l in zip(levels[d], slots)]
-        links.insert(0, (np.array(parents, dtype=np.intp), np.array(slots, dtype=np.intp)))
+        links.insert(0, (_sym_basis(n, d)[1][:, :, None] * len(below) + parents,
+                         np.arange(0, n * n, n)[:, None, None] + slots))
     groups = []
     for pattern, items in by_pattern.items():
         shape = tuple(used[d] for d in pattern)
@@ -574,12 +584,10 @@ def _tensors(sig: np.ndarray, p: SparsePolynomial, dtype) -> list:
     if p._plan is None:
         p._plan = _action_plan(p)
     links, groups = p._plan
-    n = p.shape.cols
     columns = [np.array([[1], [0]], dtype=dtype)]
-    for d, (parent, slot) in enumerate(links, 1):
-        down = _sym_basis(n, d)[1]
-        cols = np.zeros((down.shape[1] + 1, len(parent)), dtype=dtype)
-        cols[:-1] = (columns[-1][down[:, :, None], parent] * sig[:, slot][:, None, :]).sum(axis=0)
+    for rows, entries in links:
+        cols = np.zeros((rows.shape[1] + 1, rows.shape[2]), dtype=dtype)
+        cols[:-1] = (columns[-1].take(rows) * sig.take(entries)).sum(axis=0)
         columns.append(cols)
     tensors = []
     for pattern, shape, cells, coeffs in groups:

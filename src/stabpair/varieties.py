@@ -9,11 +9,13 @@ every downstream quantity (degrees, supports, heights, discrepancies)
 independently checkable.
 
 Every resultant here is the determinant of one Bezout matrix, filled by
-one recurrence.  Small degrees expand it symbolically, with integer
-coefficients; larger ones stay black boxes evaluated through batched
-determinants of it.  Degrees are read from the constructions (a black
-box's declared degree is spot-checked when it is built) and must equal 2d
-and 2d - 2.
+one recurrence, and at every degree its values come from that determinant:
+small Bezout matrices are expanded by minors, larger ones factored by
+batched LU.  Small degrees also expand it symbolically, with integer
+coefficients, for supports, exact values and exact norms; larger ones stay
+black boxes.  Degrees are read from the constructions (a black box's
+declared degree is spot-checked when it is built) and must equal 2d and
+2d - 2.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ import numpy as np
 from .igusa import HeightReport, height
 from .pairstab import PairSpec
 from .polyrep import (
+    EVALUATION_CHUNK,
     BlackBoxPolynomial,
     FormalPower,
     GroupElement,
     MatrixShape,
     SparsePolynomial,
     act,
-    constant,
     monomial,
 )
 
@@ -58,6 +60,10 @@ SYMBOLIC_RESULTANT_LIMIT = 4
 SYMBOLIC_DISCRIMINANT_LIMIT = 5
 # bytes of the Bezout stack per det call (res:200 ran 25% faster at 8 MB than 2 MB)
 BEZOUT_STACK_BYTES = 8 << 20
+# largest Bezout size n expanded by minors rather than by LU: per 65,536
+# samples, on one thread of a 2-core host, minors took 0.042 s against LU's
+# 0.079 s at n = 6, 0.099 against 0.098 s at n = 7 and 0.20 against 0.14 s at n = 8
+BEZOUT_MINOR_LIMIT = 6
 
 
 # ---------------------------------------------------------------------------
@@ -65,35 +71,14 @@ BEZOUT_STACK_BYTES = 8 << 20
 # ---------------------------------------------------------------------------
 
 def poly_det(rows: Sequence[Sequence[SparsePolynomial]]) -> SparsePolynomial:
-    """Determinant of a small square matrix of polynomials by memoized expansion.
-
-    Expands along columns left to right; minors are shared across the
-    expansion tree, so the cost is 2^n subsets rather than n! products.
-    """
+    """Determinant of a small square matrix of polynomials by `_minor_det`,
+    its 2^n minors rather than n! products."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    shape = rows[0][0].shape
-    one, zero = constant(shape, 1), SparsePolynomial(shape, {}, 0)
-    memo: dict = {}
-
-    def rec(remaining: tuple) -> SparsePolynomial:
-        if not remaining:
-            return one
-        if remaining in memo:
-            return memo[remaining]
-        col = n - len(remaining)
-        acc = zero
-        for pos, i in enumerate(remaining):
-            entry = rows[i][col]
-            if entry.is_zero:
-                continue
-            term = entry * rec(remaining[:pos] + remaining[pos + 1:])
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[remaining] = acc
-        return acc
-
-    return rec(tuple(range(n)))
+    b = np.empty((n, n, 1), dtype=object)
+    b[..., 0] = rows
+    return _minor_det(b, np.empty(((1 << n) + 1, 1), dtype=object))[0]
 
 
 def _bezout(f, g, b, det):
@@ -116,24 +101,53 @@ def _bezout(f, g, b, det):
     return -out if n * (n - 1) // 2 % 2 else out
 
 
+def _minor_det(b: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Determinants of the (n, n, m) stack b, complex or of polynomials.
+
+    The minor on a row subset S and the last |S| columns expands along its
+    first column, with signs alternating in row order.  Subsets run as bit
+    masks, each after its subsets, in place in the (2^n + 1, m) workspace
+    `work`: row S holds the minor on S (row 0 the empty minor 1) and the
+    last row is scratch.
+    """
+    n = len(b)
+    work[0], scratch = 1, work[-1]
+    for mask in range(1, 1 << n):
+        rows = [i for i in range(n) if mask >> i & 1]
+        acc, col = work[mask], n - len(rows)
+        for pos, i in enumerate(rows):
+            np.multiply(b[i, col], work[mask ^ 1 << i], out=scratch if pos else acc)
+            if pos:
+                (np.subtract if pos % 2 else np.add)(acc, scratch, out=acc)
+    return work[-2]
+
+
 def _bezout_resultant(fs: np.ndarray, gs: np.ndarray, weights=(1, 1)) -> np.ndarray:
     """Batched resultant of the binary n-forms with coefficient rows
     fs * weights[0] and gs * weights[1], both (batch, n+1).
 
     Weights and rows are formed per slice, samples last so that each row
-    of B is one contiguous block, in one reused stack of at most
-    BEZOUT_STACK_BYTES that goes to one det call; each determinant is its
-    own LU factorization, so slicing changes no value.
+    of B is one contiguous block, in one reused stack.  Up to
+    BEZOUT_MINOR_LIMIT, B is expanded by minors (`_minor_det`) on slices of
+    EVALUATION_CHUNK samples; beyond, slices of at most BEZOUT_STACK_BYTES
+    go to one batched LU (`np.linalg.det`).  Either way each determinant is
+    formed on its own, so slicing changes no value.
     """
     n = fs.shape[1] - 1
-    step = max(1, BEZOUT_STACK_BYTES // (16 * n * n))
+    if n <= BEZOUT_MINOR_LIMIT:
+        step = EVALUATION_CHUNK
+        work = np.empty(((1 << n) + 1, min(step, len(fs))), dtype=complex)
+        det = lambda b: _minor_det(b, work[:, :b.shape[2]])
+    else:
+        step = max(1, BEZOUT_STACK_BYTES // (16 * n * n))
+        det = lambda b: np.linalg.det(b.transpose(2, 0, 1))
     out = np.empty(fs.shape[0], dtype=complex)
     stack = np.empty(n * n * min(step, len(out)), dtype=complex)
     for lo in range(0, len(out), step):
         f = (fs[lo:lo + step] * weights[0]).T.copy()
         g = (gs[lo:lo + step] * weights[1]).T.copy()
         b = stack[:n * n * f.shape[1]].reshape(n, n, f.shape[1])
-        out[lo:lo + step] = _bezout(f, g, b, lambda b: np.linalg.det(b.transpose(2, 0, 1)))
+        out[lo:lo + step] = _bezout(f, g, b, det)
     return out
 
 
@@ -154,23 +168,38 @@ def _coeff_vars(shape: MatrixShape, row: int):
                              for r in range(shape.rows)]) for j in range(shape.cols)]
 
 
+class _BezoutForm(SparsePolynomial):
+    """An expanded RNC form whose batch values come from `values`, its
+    Bezout recurrence, rather than from the term loop."""
+
+    __slots__ = ("values",)
+
+    def _batch_values(self, batch: np.ndarray) -> np.ndarray:
+        return self.values(batch)
+
+
+def _bezout_form(shape: MatrixShape, terms: dict, degree: int, values) -> _BezoutForm:
+    form = _BezoutForm._trusted(shape, terms, degree)
+    form.values = values
+    return form
+
+
 def rnc_resultant(d: int) -> Union[SparsePolynomial, BlackBoxPolynomial]:
     """Form vanishing exactly when the two row forms share a projective root.
 
-    Symbolic (integer coefficients, degree 2d) up to d = 4; numeric
-    Bezout-determinant black box beyond.
+    Expanded (integer coefficients, degree 2d) up to d = 4, a black box
+    beyond; both evaluate through the Bezout determinant.
     """
     if d < 2:
         raise ValueError("the family needs degree >= 2")
     shape = MatrixShape(2, d + 1)
-    if d <= SYMBOLIC_RESULTANT_LIMIT:
-        a = _coeff_vars(shape, 0)
-        b = _coeff_vars(shape, 1)
-        return _symbolic_resultant(a, b)
 
     def batch_eval(batch: np.ndarray) -> np.ndarray:
         return _bezout_resultant(batch[:, 0, :], batch[:, 1, :])
 
+    if d <= SYMBOLIC_RESULTANT_LIMIT:
+        raw = _symbolic_resultant(_coeff_vars(shape, 0), _coeff_vars(shape, 1))
+        return _bezout_form(shape, raw.terms, raw.degree, batch_eval)
     return BlackBoxPolynomial(shape=shape, degree=2 * d, evaluator=batch_eval,
                               name=f"rnc-resultant-{d}")
 
@@ -186,22 +215,15 @@ def rnc_hyperdiscriminant(d: int) -> Union[SparsePolynomial, BlackBoxPolynomial]
     """Form vanishing exactly when the row form has a repeated root.
 
     Realized as the resultant of the two partial derivatives (degree
-    2d - 2); for the symbolic range the overall constant is fixed so the
-    lexicographically first monomial has coefficient +1.  The black-box
-    variant skips that cosmetic normalization: every consumer downstream
-    (heights, weights, polytopes) is scale-invariant.
+    2d - 2), evaluated through their Bezout determinant.  Expanded up to
+    d = 5, with the overall constant `lead` divided out of terms and values
+    so that the lexicographically first monomial has coefficient +1.  The
+    black box beyond skips that cosmetic normalization: every consumer
+    downstream (heights, weights, polytopes) is scale-invariant.
     """
     if d < 2:
         raise ValueError("the family needs degree >= 2")
     shape = MatrixShape(1, d + 1)
-    if d <= SYMBOLIC_DISCRIMINANT_LIMIT:
-        a = _coeff_vars(shape, 0)
-        ds, dt = _derivative_coeffs(a, d)
-        raw = _symbolic_resultant(ds, dt)
-        lead = raw.terms[min(raw.terms)]  # divides every coefficient for d <= 5
-        return SparsePolynomial._trusted(shape, {e: c // lead for e, c in raw.terms.items()},
-                                         raw.degree)
-
     # the partials of the all-ones form are the column weights d - j and j + 1
     weights = _derivative_coeffs([1] * (d + 1), d)
 
@@ -209,6 +231,11 @@ def rnc_hyperdiscriminant(d: int) -> Union[SparsePolynomial, BlackBoxPolynomial]
         a = batch[:, 0, :]
         return _bezout_resultant(a[:, :d], a[:, 1:], weights)
 
+    if d <= SYMBOLIC_DISCRIMINANT_LIMIT:
+        raw = _symbolic_resultant(*_derivative_coeffs(_coeff_vars(shape, 0), d))
+        lead = raw.terms[min(raw.terms)]  # divides every coefficient for d <= 5
+        return _bezout_form(shape, {e: c // lead for e, c in raw.terms.items()}, raw.degree,
+                            lambda batch: batch_eval(batch) / lead)
     return BlackBoxPolynomial(shape=shape, degree=2 * d - 2, evaluator=batch_eval,
                               name=f"rnc-hyperdiscriminant-{d}")
 

@@ -284,6 +284,20 @@ def test_properness_violated_for_reflexive_pair():
                                                 degree=pair.degree_v) - 1.0 + 1e-6
 
 
+def test_properness_violation_past_the_float_range_reports_its_ray():
+    # the first diagonal ray violates at |t| near 1e-288, where t^-3 is past
+    # the float range: the violation comes with its ray, not a group element
+    pair = PairSpec.of(disc2(), disc2())
+    est = properness_probe(pair, epsilon=0.5, b=-1.0, rng_seed=0, decades=300)
+    lam, t = est.ray
+    assert est.violated_at is None
+    assert max(abs(e * math.log10(t)) for e in lam.exponents) > 308
+    nu_v, j_v = est.violation_value
+    assert nu_v < 0.5 * j_v - 1.0
+    assert nu_v == float(nu_along_ray(pair, lam, [t])[0])
+    assert j_v == float(j_along_ray(pair.v, lam, [t], degree=pair.degree_v)[0])
+
+
 def test_properness_probe_rejects_decades_past_the_float_range():
     # 10^-decades must stay a positive normal float; in range, diagonal rays
     # run in log space, so even |t| = 1e-300 forms no group element

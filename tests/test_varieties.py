@@ -7,10 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stabpair import igusa
 from stabpair.energy import nu_pair
 from stabpair.exactgeom import dilate
 from stabpair.igusa import (
+    EvaluationError,
     degeneration_limit_heights,
+    height,
     height_monomial_closed,
     log_gamma,
 )
@@ -27,10 +30,12 @@ from stabpair.polyrep import (
     support,
 )
 from stabpair.varieties import (
+    BEZOUT_MINOR_LIMIT,
     BEZOUT_STACK_BYTES,
     _bezout_resultant,
     _coeff_vars,
     _derivative_coeffs,
+    _minor_det,
     _symbolic_resultant,
     binary_form_mul,
     discrepancy_table,
@@ -63,6 +68,19 @@ def distinct_roots(rng, count, taboo=()):
     pool = [x for x in range(-6, 7) if x not in taboo]
     rng.shuffle(pool)
     return pool[:count]
+
+
+EXPANDED = ("res:2", "res:3", "res:4", "disc:2", "disc:3", "disc:4", "disc:5")
+
+
+def expanded_form(name):
+    kind, d = name.split(":")
+    return (rnc_resultant if kind == "res" else rnc_hyperdiscriminant)(int(d))
+
+
+def term_loop(p):
+    """The same terms, evaluated by the plain term loop."""
+    return SparsePolynomial(p.shape, p.terms, p.degree)
 
 
 def rows_matrix(f, g):
@@ -167,10 +185,65 @@ def test_symbolic_and_blackbox_agree_at_random_points():
     for d in (2, 3, 4):
         sym = rnc_resultant(d)
         batch = gaussian_batch(MatrixShape(2, d + 1), 100, rng)
-        sym_vals = sym.evaluate_batch(batch)
+        sym_vals = term_loop(sym).evaluate_batch(batch)
         det_vals = _bezout_resultant(batch[:, 0, :], batch[:, 1, :])
         scale = np.maximum(np.abs(det_vals), 1e-30)
         assert np.max(np.abs(sym_vals - det_vals) / scale) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_minor_det_matches_lapack(n):
+    rng = np.random.default_rng(90 + n)
+    mats = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal((300, n, n))
+    got = _minor_det(np.ascontiguousarray(mats.transpose(1, 2, 0)),
+                     np.empty(((1 << n) + 1, len(mats)), dtype=complex))
+    bound = np.prod(np.linalg.norm(mats, axis=2), axis=1)
+    assert np.max(np.abs(got - np.linalg.det(mats)) / bound) < 1e-12
+    if n > 1:  # integer entries with a repeated row: every product and sum is exact
+        ints = rng.integers(-9, 10, size=(300, n, n)).astype(complex)
+        ints[:, -1] = ints[:, 0]
+        got = _minor_det(np.ascontiguousarray(ints.transpose(1, 2, 0)),
+                         np.empty(((1 << n) + 1, len(ints)), dtype=complex))
+        assert not got.any()
+
+
+@pytest.mark.parametrize("name", EXPANDED)
+def test_expanded_forms_evaluate_by_bezout_as_their_terms_do(name):
+    p = expanded_form(name)
+    assert type(p) is not SparsePolynomial and isinstance(p, SparsePolynomial)
+    batch = gaussian_batch(p.shape, 500, np.random.default_rng(60))
+    want = term_loop(p).evaluate_batch(batch)
+    got = p.evaluate_batch(batch)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
+    # at small integer points the Bezout values are exact integers
+    ints = np.random.default_rng(61).integers(-3, 4, size=(50, *p.shape))
+    got = p.evaluate_batch(ints)
+    assert np.array_equal(got, term_loop(p).evaluate_batch(ints))
+    assert [int(v.real) for v in got] == [p.evaluate_exact(a) for a in ints.tolist()]
+    assert not got.imag.any()
+
+
+def test_expanded_forms_keep_the_mixed_height_route():
+    for p in (rnc_resultant(4), rnc_hyperdiscriminant(5)):
+        assert isinstance(p, SparsePolynomial)
+        assert height(p, samples=2000, seed=1).method == "mixed"
+
+
+@pytest.mark.parametrize("scale, error", [(1e20, OverflowError), (1e40, EvaluationError)])
+def test_expanded_forms_overflow_as_their_terms_do(monkeypatch, scale, error):
+    # on samples scaled by 1e20, |P|^2 of these degree-8 forms overflows, and
+    # by 1e40 P itself: either way a named error and no RuntimeWarning, as
+    # with the term loop
+    draw = igusa.gaussian_batch
+    monkeypatch.setattr(igusa, "gaussian_batch", lambda *args: scale * draw(*args))
+    for p in (rnc_resultant(4), rnc_hyperdiscriminant(5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as bezout:
+                height(p, samples=1000, seed=2)
+            with pytest.raises(error) as terms:
+                height(term_loop(p), samples=1000, seed=2)
+        assert str(bezout.value) == str(terms.value)
 
 
 def sylvester_det(fs, gs):
@@ -191,14 +264,21 @@ def assert_close_to_sylvester(vals, fs, gs):
     assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-10
 
 
-@pytest.mark.parametrize("d", range(2, 13))
+SYLVESTER_DEGREES = range(2, 13)
+
+
+def test_sylvester_degrees_straddle_the_minor_limit():
+    assert SYLVESTER_DEGREES[0] <= BEZOUT_MINOR_LIMIT < SYLVESTER_DEGREES[-1]
+
+
+@pytest.mark.parametrize("d", SYLVESTER_DEGREES)
 def test_bezout_resultant_matches_sylvester(d):
-    # the sign (-1)^(n(n-1)/2) included: res:d at n = d
+    # the sign (-1)^(n(n-1)/2) included: res:d at n = d, by minors up to
+    # BEZOUT_MINOR_LIMIT and by LU beyond
     batch = gaussian_batch(MatrixShape(2, d + 1), 200, np.random.default_rng(40 + d))
     fs, gs = batch[:, 0, :], batch[:, 1, :]
     assert_close_to_sylvester(_bezout_resultant(fs, gs), fs, gs)
-    if d > 4:
-        assert_close_to_sylvester(rnc_resultant(d).evaluate_batch(batch), fs, gs)
+    assert_close_to_sylvester(rnc_resultant(d).evaluate_batch(batch), fs, gs)
 
 
 @pytest.mark.parametrize("d", range(3, 25))
