@@ -57,11 +57,9 @@ def parse_poly_spec(spec: str):
         except ValueError:
             exponent = None
         if exponent is not None:
-            from .polyrep import FormalPower
-
             if exponent < 1:
                 raise CLIUsageError(f"formal power must be >= 1 in {spec!r}")
-            return FormalPower(parse_poly_spec(base_spec), exponent)
+            return polyrep.FormalPower(parse_poly_spec(base_spec), exponent)
     if ":" in spec:
         head, _, rest = spec.partition(":")
         if head in ("disc", "res"):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -43,7 +42,6 @@ from .polyrep import (
 __all__ = [
     "PairSpec",
     "StabilityVerdict",
-    "simplex_qn",
     "weight_polytope",
     "ops_weight",
     "semistable_diagonal",
@@ -56,18 +54,16 @@ __all__ = [
 
 CERTIFIED = "semistable-certified-on-diagonal-torus"
 DESTABILIZED = "destabilized"
-STABLE = "stable-with-exponent"
 
 
 @dataclass(frozen=True)
 class PairSpec:
-    """A pair (v, w) with its ambient column dimension and module degrees."""
+    """A pair (v, w) with its ambient column dimension and v's module degree."""
 
     v: AnyPolynomial
     w: AnyPolynomial
     ambient: int
     degree_v: int
-    degree_w: int
 
     @staticmethod
     def of(v: AnyPolynomial, w: AnyPolynomial) -> "PairSpec":
@@ -75,8 +71,7 @@ class PairSpec:
             raise ValueError("pair components must be nonzero")
         if v.shape.cols != w.shape.cols:
             raise ValueError("pair components must share the ambient dimension")
-        return PairSpec(v=v, w=w, ambient=v.shape.cols,
-                        degree_v=module_degree(v), degree_w=module_degree(w))
+        return PairSpec(v=v, w=w, ambient=v.shape.cols, degree_v=module_degree(v))
 
 
 @dataclass
@@ -84,28 +79,10 @@ class StabilityVerdict:
     status: str
     trials: int
     witness: Optional[tuple] = None  # (GroupElement, OnePSG)
-    exponent: Optional[int] = None
 
     @property
     def destabilized(self) -> bool:
         return self.status == DESTABILIZED
-
-
-@lru_cache(maxsize=None)
-def simplex_qn(ambient: int) -> LatticePolytope:
-    """Weight polytope of the identity operator, in sum-zero coordinates.
-
-    Vertices are e_i - (1, ..., 1)/(N+1); the origin is its barycenter and
-    lies in the strict interior.  Under any basis change the left regular
-    factor keeps every row character, so this polytope is the same for all
-    maximal tori.
-    """
-    verts = []
-    for i in range(ambient):
-        v = [Fraction(-1, ambient)] * ambient
-        v[i] += 1
-        verts.append(tuple(v))
-    return convex_hull(verts)
 
 
 def weight_polytope(p: AnyPolynomial) -> LatticePolytope:

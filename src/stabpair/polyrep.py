@@ -25,10 +25,12 @@ Large resultants and hyperdiscriminants are never expanded; they enter as
 black-box polynomials (one evaluator mapping a (count, rows, cols) stack to
 count values, with a declared degree that is spot-checked for homogeneity),
 and formal tensor powers defer to linearity rules for weights, polytopes
-and log-norms.  Sparse polynomials evaluate through one term loop over
-cache-sized sample chunks, unless a subclass supplies its batch values
-(the expanded rational-normal-curve forms of `varieties` evaluate by their
-Bezout determinants); for both kinds a single point is a batch of one.
+and log-norms.  Both evaluable kinds share one front door, which checks
+shapes, rejects a point with non-finite entries and evaluates a point as a
+batch of one; each kind supplies only its batch values.  A black box's come
+from its evaluator, a sparse polynomial's from one term loop over
+cache-sized sample chunks (the expanded rational-normal-curve forms of
+`varieties` override that with their Bezout determinants).
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ __all__ = [
     "FormalPower",
     "support",
     "act",
-    "evaluate",
-    "evaluate_batch",
-    "tensor_support",
     "gaussian_batch",
     "random_unimodular",
     "exact_gaussian_norm_sq",
@@ -116,7 +115,32 @@ def _column_degree_array(p: "SparsePolynomial") -> np.ndarray:
     return np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), *p.shape).sum(axis=1)
 
 
-class SparsePolynomial:
+class _Evaluated:
+    """The evaluation front door of both polynomial kinds: each supplies only
+    `_batch_values` on a checked (count, rows, cols) complex stack."""
+
+    __slots__ = ()
+
+    def evaluate(self, a) -> complex:
+        """Value at a single matrix of finite entries: a batch of one."""
+        a = np.asarray(a, dtype=complex)
+        if a.shape != tuple(self.shape):
+            raise ValueError("argument shape mismatch")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("non-finite entries in argument")
+        return complex(self.evaluate_batch(a[None])[0])
+
+    def evaluate_batch(self, batch: np.ndarray) -> np.ndarray:
+        """Vectorized values on a (count, rows, cols) stack of matrices."""
+        batch = np.asarray(batch, dtype=complex)
+        if batch.ndim != 3 or batch.shape[1:] != tuple(self.shape):
+            raise ValueError("batch shape mismatch")
+        return self._batch_values(batch)
+
+    __call__ = evaluate
+
+
+class SparsePolynomial(_Evaluated):
     """Homogeneous polynomial in matrix entries, stored term-by-term.
 
     `terms` maps exponent matrices to nonzero coefficients; all terms share
@@ -250,22 +274,6 @@ class SparsePolynomial:
             total += term
         return total
 
-    def evaluate(self, a) -> complex:
-        """Value at a single matrix: a batch of one."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != tuple(self.shape):
-            raise ValueError("argument shape mismatch")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite entries in argument")
-        return complex(self.evaluate_batch(a[None])[0])
-
-    def evaluate_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Vectorized values on a (count, rows, cols) stack of matrices."""
-        batch = np.asarray(batch, dtype=complex)
-        if batch.ndim != 3 or batch.shape[1:] != tuple(self.shape):
-            raise ValueError("batch shape mismatch")
-        return self._batch_values(batch)
-
     def _batch_values(self, batch: np.ndarray) -> np.ndarray:
         """The term loop on a checked batch, over chunks of EVALUATION_CHUNK
         samples whose powers stay in cache."""
@@ -275,8 +283,6 @@ class SparsePolynomial:
             out[lo:lo + EVALUATION_CHUNK] = self._term_sum(
                 x, np.zeros(x.shape[-1], dtype=complex), complex)
         return out
-
-    __call__ = evaluate
 
     def evaluate_exact(self, a):
         """Value at a matrix of exact (int / Fraction) entries, exactly.
@@ -361,7 +367,7 @@ def _group_element(sigma) -> GroupElement:
 
 
 @dataclass
-class BlackBoxPolynomial:
+class BlackBoxPolynomial(_Evaluated):
     """Evaluation-only polynomial with a declared degree.
 
     `evaluator` maps a (count, rows, cols) stack of matrices to its count
@@ -396,22 +402,11 @@ class BlackBoxPolynomial:
     def is_zero(self) -> bool:
         return False
 
-    def evaluate(self, a) -> complex:
-        a = np.asarray(a, dtype=complex)
-        if a.shape != tuple(self.shape):
-            raise ValueError("argument shape mismatch")
-        return complex(self.evaluate_batch(a[None])[0])
-
-    def evaluate_batch(self, batch: np.ndarray) -> np.ndarray:
-        batch = np.asarray(batch, dtype=complex)
-        if batch.ndim != 3 or batch.shape[1:] != tuple(self.shape):
-            raise ValueError("batch shape mismatch")
+    def _batch_values(self, batch: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(batch), dtype=complex)
         if vals.shape != batch.shape[:1]:
             raise ValueError(f"{self.name}: evaluator shape {vals.shape} != {batch.shape[:1]}")
         return vals
-
-    __call__ = evaluate
 
 
 @dataclass(frozen=True)
@@ -622,26 +617,6 @@ def _coefficients(plan: tuple, sigma: np.ndarray) -> np.ndarray:
     if not q.any():
         raise FloatingPointError("sigma.P underflows to zero")
     return q
-
-
-def evaluate(p: AnyPolynomial, a) -> complex:
-    if isinstance(p, FormalPower):
-        raise ValueError("formal powers are never evaluated; evaluate the base")
-    return p.evaluate(a)
-
-
-def evaluate_batch(p: AnyPolynomial, batch: np.ndarray) -> np.ndarray:
-    if isinstance(p, FormalPower):
-        raise ValueError("formal powers are never evaluated; evaluate the base")
-    return p.evaluate_batch(batch)
-
-
-def tensor_support(v: AnyPolynomial, w: AnyPolynomial) -> set:
-    """Support of the tensor product: all pairwise character sums."""
-    sup_v, sup_w = support(v), support(w)
-    if v.shape.cols != w.shape.cols:
-        raise ValueError("ambient dimension mismatch")
-    return {tuple(x + y for x, y in zip(a, b)) for a in sup_v for b in sup_w}
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,8 @@ from .polyrep import (
     EVALUATION_CHUNK,
     BlackBoxPolynomial,
     FormalPower,
-    GroupElement,
     MatrixShape,
     SparsePolynomial,
-    act,
     monomial,
 )
 
@@ -52,8 +50,6 @@ __all__ = [
     "normalized_pair",
     "variety_heights",
     "discrepancy_table",
-    "optimal_constant_probe",
-    "binary_form_mul",
 ]
 
 SYMBOLIC_RESULTANT_LIMIT = 4
@@ -271,13 +267,8 @@ def normalized_pair(example: VarietyExample) -> PairSpec:
     Both sides carry the same total formal degree deg_R * deg_Delta; the
     powers stay formal and all downstream quantities scale linearly.
     """
-    r_power = FormalPower(example.R_X, example.deg_Delta)
-    delta_power = FormalPower(example.Delta_X, example.deg_R)
-    if r_power.degree != delta_power.degree:  # pragma: no cover
-        raise ArithmeticError("normalized degrees disagree")
-    return PairSpec(v=r_power, w=delta_power, ambient=example.N + 1,
-                    degree_v=max(r_power.degree, 1),
-                    degree_w=max(delta_power.degree, 1))
+    return PairSpec.of(FormalPower(example.R_X, example.deg_Delta),
+                       FormalPower(example.Delta_X, example.deg_R))
 
 
 # ---------------------------------------------------------------------------
@@ -367,46 +358,3 @@ def _growth_fit(ds, deltas) -> dict:
         cov = float(resid @ resid) / (len(xs) - 2) * np.linalg.inv(design.T @ design)
         fit["exponent_ci_halfwidth"] = 2.0 * math.sqrt(max(cov[1, 1], 0.0))
     return fit
-
-
-def optimal_constant_probe(example: VarietyExample,
-                           sigmas: Sequence[GroupElement],
-                           samples: int = 100_000, seed=0,
-                           threads: int = 1):
-    """Lower bound for the best comparison constant, probed at the given sigmas.
-
-    Evaluates |deg_Delta * h(sigma.R_X) - deg_R * h(sigma.Delta_X)| at each
-    supplied group element and returns (max, per-sigma rows).  A supremum
-    probed on finitely many elements only ever bounds the constant from
-    below; adding elements can only increase the probe value because each
-    element's Monte Carlo seed depends on its position alone.
-    """
-    if not sigmas:
-        raise ValueError("at least one group element required")
-    rows = []
-    best = -math.inf
-    for idx, sigma in enumerate(sigmas):
-        seq = np.random.SeedSequence((_seed_int(seed), idx))
-        s_r, s_d = seq.spawn(2)
-        h_f = height(act(sigma, example.R_X), samples=samples, seed=s_r,
-                     threads=threads, method="monte-carlo")
-        h_delta = height(act(sigma, example.Delta_X), samples=samples, seed=s_d,
-                         threads=threads, method="monte-carlo")
-        value = abs(example.deg_Delta * h_f.h - example.deg_R * h_delta.h)
-        rows.append({"index": idx, "value": value,
-                     "h_F": h_f.h, "h_Delta": h_delta.h})
-        best = max(best, value)
-    return best, rows
-
-
-# ---------------------------------------------------------------------------
-# binary-form helpers (planted-root constructions live on these)
-# ---------------------------------------------------------------------------
-
-def binary_form_mul(a: Sequence, b: Sequence) -> list:
-    """Coefficient convolution: the product of two binary forms."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out

@@ -1,13 +1,16 @@
-"""Exact references for the polytope kernel, kept apart from it.
+"""Exact references for the polytope kernel, kept apart from it, and the
+plain constructions the pair and curve tests check against.
 
 `exactgeom` finds vertices and facets in one double-description pass; the
 tests check it against the computations it replaced.  Vertices come from an
 LP filter (fixed-direction minimizers, then exact phase-1 simplex solves),
 facets from a scan of every r-subset of the vertices, their order from the
 rank tests of a greedy affine basis, and containment, Minkowski sums and
-support minima are the plain definitions.
+support minima are the plain definitions.  The identity's simplex, tensor
+supports and binary-form products are written out the same way.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -22,7 +25,9 @@ from stabpair.exactgeom import (
     _primitive,
     _sub,
     as_point,
+    convex_hull,
 )
+from stabpair.polyrep import support
 
 
 def lp_feasible(A: list, b: list) -> bool:
@@ -176,3 +181,30 @@ def support_min(p: LatticePolytope, coeffs) -> Fraction:
     if len(coeffs) != p.dim:
         raise ValueError("dimension mismatch between functional and polytope")
     return min(_dot(coeffs, v) for v in p._points)
+
+
+@functools.cache
+def simplex_qn(ambient: int) -> LatticePolytope:
+    """Weight polytope of the identity operator, in sum-zero coordinates.
+
+    Vertices are e_i - (1, ..., 1)/(N+1); the origin is its barycenter and
+    lies in the strict interior.  Under any basis change the left regular
+    factor keeps every row character, so this polytope is the same for all
+    maximal tori.
+    """
+    return convex_hull([tuple(Fraction(int(i == j)) - Fraction(1, ambient)
+                              for j in range(ambient)) for i in range(ambient)])
+
+
+def tensor_support(v, w) -> set:
+    """Support of the tensor product v (x) w: all pairwise character sums."""
+    return {tuple(x + y for x, y in zip(a, b)) for a in support(v) for b in support(w)}
+
+
+def binary_form_mul(a: Sequence, b: Sequence) -> list:
+    """Coefficient convolution: the product of two binary forms."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out

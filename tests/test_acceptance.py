@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from geomref import contains
+from geomref import binary_form_mul, contains
 from stabpair import energy, igusa, pairstab, varieties
 from stabpair.exactgeom import dilate
 from stabpair.igusa import (
@@ -33,7 +33,7 @@ from stabpair.polyrep import (
     determinant_poly,
     monomial,
 )
-from stabpair.varieties import binary_form_mul, rnc_example, rnc_hyperdiscriminant, rnc_resultant
+from stabpair.varieties import rnc_example, rnc_hyperdiscriminant, rnc_resultant
 
 
 def report(number: int, name: str, ok: bool, detail: str, elapsed: float,

@@ -7,7 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from geomref import contains, contains_point, minkowski_sum, point_in_hull, support_min
+from geomref import (
+    contains,
+    contains_point,
+    minkowski_sum,
+    point_in_hull,
+    simplex_qn,
+    support_min,
+    tensor_support,
+)
 from stabpair.exactgeom import convex_hull, dilate
 from stabpair.pairstab import (
     CERTIFIED,
@@ -21,7 +29,6 @@ from stabpair.pairstab import (
     semistable_diagonal,
     semistable_probe,
     separating_functionals,
-    simplex_qn,
     stable_search,
     verify_witness,
     weight_polytope,
@@ -139,8 +146,6 @@ def test_ops_weight_equals_projected_support_min():
 
 def test_ops_weight_tensor_additivity():
     rng = np.random.default_rng(17)
-    from stabpair.polyrep import tensor_support
-
     for _ in range(20):
         cols = int(rng.integers(2, 5))
         v = random_support_poly(rng, cols, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
@@ -156,8 +161,6 @@ def test_ops_weight_formal_power_scales():
 
 
 def test_tensor_support_hull_is_minkowski_sum_of_hulls():
-    from stabpair.polyrep import tensor_support
-
     rng = np.random.default_rng(29)
     for _ in range(10):
         cols = int(rng.integers(2, 5))

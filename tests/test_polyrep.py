@@ -17,15 +17,12 @@ from stabpair.polyrep import (
     act,
     constant,
     determinant_poly,
-    evaluate,
-    evaluate_batch,
     gaussian_batch,
     monomial,
     poly_from_json,
     poly_to_json,
     random_unimodular,
     support,
-    tensor_support,
 )
 from stabpair.varieties import rnc_resultant
 
@@ -301,11 +298,11 @@ def test_act_on_raw_arrays():
 
 def test_evaluate_constant():
     c = constant(MatrixShape(2, 2), 5 - 2j)
-    assert evaluate(c, np.zeros((2, 2))) == 5 - 2j
+    assert c.evaluate(np.zeros((2, 2))) == 5 - 2j
 
 
 def test_evaluate_disc2():
-    val = evaluate(disc2(), np.array([[1.0, 0.0, -1.0]]))
+    val = disc2().evaluate(np.array([[1.0, 0.0, -1.0]]))
     assert val == pytest.approx(4.0)
 
 
@@ -313,9 +310,9 @@ def test_evaluate_batch_matches_pointwise():
     rng = np.random.default_rng(3)
     p = random_sparse(rng, 2, 3, 4, 6)
     batch = gaussian_batch(p.shape, 32, rng)
-    vals = evaluate_batch(p, batch)
+    vals = p.evaluate_batch(batch)
     for i in range(0, 32, 7):
-        assert vals[i] == evaluate(p, batch[i])
+        assert vals[i] == p.evaluate(batch[i])
 
 
 def test_evaluate_batch_is_chunk_invariant():
@@ -323,12 +320,27 @@ def test_evaluate_batch_is_chunk_invariant():
     # chunk boundary, evaluated by itself, gives the same bits
     p = rnc_resultant(4)
     batch = gaussian_batch(p.shape, 10_000, np.random.default_rng(21))
-    vals = evaluate_batch(p, batch)
+    vals = p.evaluate_batch(batch)
     edge = polyrep.EVALUATION_CHUNK
     window = slice(edge - 700, edge + 900)
-    assert vals[window].tobytes() == evaluate_batch(p, batch[window]).tobytes()
-    assert vals[edge - 1] == evaluate(p, batch[edge - 1])
-    assert vals[edge] == evaluate(p, batch[edge])
+    assert vals[window].tobytes() == p.evaluate_batch(batch[window]).tobytes()
+    assert vals[edge - 1] == p.evaluate(batch[edge - 1])
+    assert vals[edge] == p.evaluate(batch[edge])
+
+
+@pytest.mark.parametrize("make", [disc2, lambda: rnc_resultant(4), lambda: rnc_resultant(5)],
+                         ids=["sparse", "res:4", "res:5"])
+def test_every_kind_rejects_non_finite_points_and_misshapen_batches(make):
+    # sparse forms, expanded RNC forms and black boxes share one front door
+    p = make()
+    with pytest.raises(ValueError, match="non-finite entries in argument"):
+        p.evaluate(np.full(p.shape, np.nan))
+    with pytest.raises(ValueError, match="non-finite entries in argument"):
+        p(np.full(p.shape, np.inf))
+    with pytest.raises(ValueError, match="batch shape mismatch"):
+        p.evaluate_batch(np.zeros((3, p.shape.rows, p.shape.cols + 1)))
+    with pytest.raises(ValueError, match="batch shape mismatch"):
+        p.evaluate_batch(np.zeros(tuple(p.shape)))
 
 
 def test_homogeneity_numeric():
@@ -337,8 +349,8 @@ def test_homogeneity_numeric():
         p = random_sparse(rng, 1, 4, int(rng.integers(1, 5)), 4)
         a = gaussian_batch(p.shape, 1, rng)[0]
         t = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        lhs = evaluate(p, t * a)
-        rhs = t ** p.degree * evaluate(p, a)
+        lhs = p.evaluate(t * a)
+        rhs = t ** p.degree * p.evaluate(a)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -348,32 +360,7 @@ def test_determinant_poly_matches_numpy():
         p = determinant_poly(n)
         assert len(p.terms) == math.factorial(n)
         a = gaussian_batch(MatrixShape(n, n), 1, rng)[0]
-        assert evaluate(p, a) == pytest.approx(complex(np.linalg.det(a)), rel=1e-10)
-
-
-# -- tensor support ---------------------------------------------------------------
-
-def test_tensor_support_with_constant():
-    p = disc2()
-    c = constant(p.shape, 7)
-    assert tensor_support(p, c) == support(p)
-
-
-def test_tensor_support_monomials_add():
-    shape = MatrixShape(1, 3)
-    a = monomial(shape, ((1, 0, 0),))
-    b = monomial(shape, ((0, 0, 2),))
-    assert tensor_support(a, b) == {(1, 0, 2)}
-
-
-def test_tensor_support_is_pairwise_sums():
-    rng = np.random.default_rng(5)
-    v = random_sparse(rng, 1, 3, 2, 3)
-    w = random_sparse(rng, 1, 3, 3, 3)
-    got = tensor_support(v, w)
-    want = {tuple(x + y for x, y in zip(a, b))
-            for a in support(v) for b in support(w)}
-    assert got == want
+        assert p.evaluate(a) == pytest.approx(complex(np.linalg.det(a)), rel=1e-10)
 
 
 # -- black boxes and formal powers --------------------------------------------------
@@ -399,8 +386,8 @@ def test_formal_power_bookkeeping():
     assert fp.degree == 10
     with pytest.raises(ValueError):
         FormalPower(disc2(), 0)
-    with pytest.raises(ValueError):
-        evaluate(fp, np.zeros((1, 3)))
+    # formal powers are never evaluated; their bases are
+    assert not hasattr(fp, "evaluate") and not hasattr(fp, "evaluate_batch")
 
 
 def test_formal_power_support_is_iterated_sumset():

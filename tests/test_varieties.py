@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from geomref import binary_form_mul
 from stabpair import igusa
 from stabpair.energy import nu_pair
 from stabpair.exactgeom import dilate
@@ -24,7 +25,6 @@ from stabpair.polyrep import (
     MatrixShape,
     SparsePolynomial,
     act,
-    evaluate,
     gaussian_batch,
     monomial,
     support,
@@ -37,10 +37,8 @@ from stabpair.varieties import (
     _derivative_coeffs,
     _minor_det,
     _symbolic_resultant,
-    binary_form_mul,
     discrepancy_table,
     normalized_pair,
-    optimal_constant_probe,
     poly_det,
     rnc_example,
     rnc_hyperdiscriminant,
@@ -91,13 +89,13 @@ def rows_matrix(f, g):
 
 def test_resultant_of_split_forms_is_one():
     r = rnc_resultant(2)
-    val = evaluate(r, rows_matrix([1, 0, 0], [0, 0, 1]))  # s^2 and t^2
+    val = r.evaluate(rows_matrix([1, 0, 0], [0, 0, 1]))  # s^2 and t^2
     assert val == pytest.approx(1.0)
 
 
 def test_resultant_identical_rows_vanishes():
     r = rnc_resultant(2)
-    assert evaluate(r, rows_matrix([1, 2, 3], [1, 2, 3])) == pytest.approx(0.0, abs=1e-12)
+    assert r.evaluate(rows_matrix([1, 2, 3], [1, 2, 3])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_resultant_symbolic_support_d2():
@@ -143,10 +141,10 @@ def test_discriminant_d3_classical_expansion():
 def test_discriminant_d3_classical_values():
     disc = rnc_hyperdiscriminant(3)
     # squarefree cubic s^2 t - s t^2: three distinct roots 0, 1, infinity
-    val = evaluate(disc, np.array([[0, 1, -1, 0]], dtype=complex))
+    val = disc.evaluate(np.array([[0, 1, -1, 0]], dtype=complex))
     assert abs(val) > 1e-9
     # triple root s^3
-    val0 = evaluate(disc, np.array([[1, 0, 0, 0]], dtype=complex))
+    val0 = disc.evaluate(np.array([[1, 0, 0, 0]], dtype=complex))
     assert val0 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -342,9 +340,9 @@ def test_resultant_planted_common_root(d):
             planted = r.evaluate_exact([split_form(alphas), split_form(shared_betas)])
             assert planted == 0
         else:
-            got = evaluate(r, rows_matrix(split_form(alphas), split_form(coprime_betas)))
+            got = r.evaluate(rows_matrix(split_form(alphas), split_form(coprime_betas)))
             assert abs(abs(got) - abs(expected)) <= 1e-8 * abs(expected)
-            planted = evaluate(r, rows_matrix(split_form(alphas),
+            planted = r.evaluate(rows_matrix(split_form(alphas),
                                               split_form(shared_betas)))
             assert abs(planted) <= 1e-8 * max(abs(expected), 1.0)
 
@@ -485,30 +483,6 @@ def test_degeneration_limits_match_concrete_minor_powers():
     assert abs(rep.h - lim.hF_limit) < 3.5 * rep.stderr
 
 
-def test_optimal_constant_probe_identity_and_monotonicity():
-    ex = rnc_example(2)
-    ident = GroupElement.identity(3)
-    shear = GroupElement(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-    base, rows = optimal_constant_probe(ex, [ident], samples=50_000, seed=4)
-    bigger, rows2 = optimal_constant_probe(ex, [ident, shear], samples=50_000, seed=4)
-    assert bigger >= base  # sup over a larger set, shared per-index seeds
-    assert rows2[0]["value"] == rows[0]["value"]
-    with pytest.raises(ValueError):
-        optimal_constant_probe(ex, [], samples=1000, seed=0)
-
-
-def test_optimal_constant_probe_identity_matches_discrepancy_row():
-    # a single identity element reproduces the discrepancy row's delta, up
-    # to independent Monte Carlo seeds
-    ex = rnc_example(2)
-    probe, _ = optimal_constant_probe(ex, [GroupElement.identity(3)],
-                                      samples=80_000, seed=11)
-    h_f, h_delta = variety_heights(ex, samples=80_000, seed=12)
-    row_delta = abs(ex.deg_Delta * h_f.h - ex.deg_R * h_delta.h)
-    combined = math.hypot(ex.deg_Delta * h_f.stderr, ex.deg_R * h_delta.stderr)
-    assert abs(probe - row_delta) < 8 * combined
-
-
 # -- symbolic determinant helper ---------------------------------------------------------
 
 def sylvester_rows(f, g, shape):
@@ -529,7 +503,7 @@ def test_poly_det_matches_numeric():
     for _ in range(10):
         arr = rng.standard_normal((2, d + 1)) + 1j * rng.standard_normal((2, d + 1))
         want = _bezout_resultant(arr[None, 0, :], arr[None, 1, :])[0]
-        assert evaluate(sym, arr) == pytest.approx(want, rel=1e-9)
+        assert sym.evaluate(arr) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("d", range(2, 6))
