@@ -6,14 +6,16 @@ output digests; two runs with identical manifests (wall time aside)
 produce bit-identical numeric payloads.  Exit codes: 0 success, 1 verdict
 contradicts --expect, 2 usage or specification errors (CLIUsageError, or
 a flag argparse rejects), 3 internal or numerical failure (any other
-ValueError, an arithmetic or evaluation error, or a NaN or infinity that
-strict JSON cannot carry).
+exception past the parsing, a NaN or infinity that strict JSON cannot
+carry among them).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -91,7 +93,7 @@ def parse_poly_spec(spec: str):
         raise CLIUsageError(f"polynomial spec {spec!r}: no such builder or file")
     try:
         return polyrep.poly_from_json(path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CLIUsageError(f"malformed polynomial JSON in {spec!r}: {exc}") from exc
 
 
@@ -218,7 +220,7 @@ def _emit_report(args, payload: dict) -> None:
                          keys, [[flat[k] for k in keys]])
     else:
         text = _json_text(payload)
-    _write_artifact(args, text, args._started)
+    _write_artifact(args, text)
 
 
 def _emit_table(args, comment: str, header: list, rows: list) -> None:
@@ -231,25 +233,22 @@ def _emit_table(args, comment: str, header: list, rows: list) -> None:
         text = _json_text(payload)
     else:
         text = _csv_text(comment, header, rows)
-    _write_artifact(args, text, args._started)
+    _write_artifact(args, text)
 
 
 def _csv_text(comment: str, header: list, rows: list) -> str:
-    lines = [f"# {comment}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """The comment line, then header and rows by the csv writer (minimal
+    quoting); floats as shortest round-trip reprs, never numpy reprs."""
+    out = io.StringIO()
+    out.write(f"# {comment}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) if isinstance(x, float) else str(x) for x in row]
+                     for row in rows)
+    return out.getvalue()
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        # plain-float repr is shortest-roundtrip and, unlike numpy scalar
-        # repr, stays parseable CSV
-        return repr(float(x))
-    return str(x)
-
-
-def _write_artifact(args, text: str, started: float) -> None:
+def _write_artifact(args, text: str) -> None:
     if not args.out:
         sys.stdout.write(text)
         return
@@ -268,7 +267,7 @@ def _write_artifact(args, text: str, started: float) -> None:
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.time() - args._started, 3),
         "outputs": {out.name: digest},
     }
     Path(str(out) + ".manifest.json").write_text(_json_text(manifest),
@@ -587,8 +586,7 @@ def main(argv=None) -> int:
     except CLIUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, igusa.EvaluationError) as exc:
-        # past parsing, a ValueError from a layer is an internal fault
+    except Exception as exc:  # past parsing, any other failure is internal
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -192,15 +192,12 @@ def nu_pair(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
 
 
 def j_aubin(v: AnyPolynomial, sigma: Union[GroupElement, np.ndarray],
-            degree: Optional[int] = None, ambient: Optional[int] = None,
             samples: int = 200_000, seed=0) -> float:
-    """J_v(sigma) = deg log(Trace(sigma sigma*)/(N+1)) - log ||sigma.v||^2/||v||^2."""
-    if degree is None:
-        degree = module_degree(v)
-    if ambient is None:
-        ambient = v.shape.cols
-    parts = _components(_group_element(sigma), v, ambient=ambient, samples=samples, seed=seed)
-    return _energies(parts, degree)[1]
+    """J_v(sigma) = deg log(Trace(sigma sigma*)/(N+1)) - log ||sigma.v||^2/||v||^2,
+    with deg the module degree of v and N+1 its column count."""
+    parts = _components(_group_element(sigma), v, ambient=v.shape.cols,
+                        samples=samples, seed=seed)
+    return _energies(parts, module_degree(v))[1]
 
 
 def energy_report(pair: PairSpec, sigma: Union[GroupElement, np.ndarray],
@@ -216,12 +213,10 @@ def nu_along_ray(pair: PairSpec, lam: OnePSG, ts: Sequence[float]) -> np.ndarray
     return _energies(_ray_components(lam, ts, pair.v, pair.w))[0]
 
 
-def j_along_ray(v: AnyPolynomial, lam: OnePSG, ts: Sequence[float],
-                degree: Optional[int] = None) -> np.ndarray:
+def j_along_ray(v: AnyPolynomial, lam: OnePSG, ts: Sequence[float]) -> np.ndarray:
     """J_v(lam(t)) for each |t| (trace term summed exactly in log space)."""
-    if degree is None:
-        degree = module_degree(v)
-    return _energies(_ray_components(lam, ts, v, ambient=len(lam.exponents)), degree)[1]
+    parts = _ray_components(lam, ts, v, ambient=len(lam.exponents))
+    return _energies(parts, module_degree(v))[1]
 
 
 def _pair_along_ray(pair: PairSpec, lam: OnePSG, ts: Sequence[float]) -> tuple:
@@ -487,8 +482,6 @@ def orbit_distance(pair: PairSpec, restarts: int = 30, seed=0,
     """
     if not isinstance(pair.v, SparsePolynomial) or not isinstance(pair.w, SparsePolynomial):
         raise ValueError("orbit distance estimation needs expanded sparse pairs")
-    if pair.ambient > 4:
-        raise ValueError("orbit distance optimization is supported for N+1 <= 4")
     objective = _overlap_objective(*(p * (1.0 / math.sqrt(gaussian_norm_sq(p)))
                                      for p in (pair.v, pair.w)))
     value, _, stabilized = _descend(objective, pair.ambient, 2, restarts, seed, maxiter)

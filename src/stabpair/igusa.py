@@ -24,10 +24,11 @@ n = 1, s = 1 (1 versus 1/pi); reports surface both.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -133,27 +134,23 @@ def harmonic(k: int) -> Fraction:
 
 @dataclass
 class _ShardStats:
-    n: int = 0
-    mean_x: float = 0.0
-    mean_y: float = 0.0
-    m2x: float = 0.0
-    m2y: float = 0.0
-    cxy: float = 0.0
-    top: np.ndarray = field(default_factory=lambda: np.empty(0))
-    resampled: int = 0
+    """Count, means, M2 sums and co-moment of x = |P|^(2s) and y = log|P|^2."""
+
+    n: int
+    mean_x: float
+    mean_y: float
+    m2x: float
+    m2y: float
+    cxy: float
+    resampled: int
 
 
-def _merge(a: _ShardStats, b: _ShardStats, top_k: int) -> _ShardStats:
-    if a.n == 0:
-        b.resampled += a.resampled
-        return b
-    if b.n == 0:
-        a.resampled += b.resampled
-        return a
+def _merge(a: _ShardStats, b: _ShardStats) -> _ShardStats:
+    """One Chan step: the moments of two disjoint sample sets, pooled."""
     n = a.n + b.n
     dx = b.mean_x - a.mean_x
     dy = b.mean_y - a.mean_y
-    out = _ShardStats(
+    return _ShardStats(
         n=n,
         mean_x=a.mean_x + dx * b.n / n,
         mean_y=a.mean_y + dy * b.n / n,
@@ -162,15 +159,10 @@ def _merge(a: _ShardStats, b: _ShardStats, top_k: int) -> _ShardStats:
         cxy=a.cxy + b.cxy + dx * dy * a.n * b.n / n,
         resampled=a.resampled + b.resampled,
     )
-    merged = np.concatenate([a.top, b.top])
-    if merged.size > top_k:
-        merged = np.sort(merged)[-top_k:]
-    out.top = merged
-    return out
 
 
 def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
-                 top_k: int, shard_index: int) -> _ShardStats:
+                 shard_index: int) -> _ShardStats:
     """Moments of one shard of `count` samples, drawn in a single batch."""
     # values past the float range are caught by the finiteness checks here
     # and on the callers' results, which raise named errors; numpy need not
@@ -202,7 +194,6 @@ def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
                     "polynomial may vanish on a positive-measure set")
         x = sq if s == 1.0 else sq ** s
         y = np.log(sq) if need_log else np.zeros(0)
-        k = min(top_k, count)
         mx, my = x.mean(), y.mean() if need_log else 0.0
         return _ShardStats(
             n=count,
@@ -211,7 +202,6 @@ def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
             m2x=float(((x - mx) ** 2).sum()),
             m2y=float(((y - my) ** 2).sum()) if need_log else 0.0,
             cxy=float(((x - mx) * (y - my)).sum()) if need_log else 0.0,
-            top=np.partition(x, count - k)[-k:] if k else np.empty(0),
             resampled=resampled,
         )
 
@@ -220,7 +210,6 @@ def _run_mc(p, s: float, need_log: bool, samples: int, seed,
             threads: int) -> _ShardStats:
     if samples < 2:
         raise ValueError("at least two samples required")
-    top_k = max(1, samples // 1000)
     sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
     if samples % SHARD_SIZE:
         sizes.append(samples % SHARD_SIZE)
@@ -229,17 +218,15 @@ def _run_mc(p, s: float, need_log: bool, samples: int, seed,
     seqs = seq.spawn(len(sizes))
 
     def run(i):
-        return _shard_stats(p, sizes[i], seqs[i], s, need_log, top_k, i)
+        return _shard_stats(p, sizes[i], seqs[i], s, need_log, i)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             shards = list(pool.map(run, range(len(sizes))))
     else:
         shards = [run(i) for i in range(len(sizes))]
-    total = _ShardStats()
-    for sh in shards:  # merged in shard order: deterministic for any thread count
-        total = _merge(total, sh, top_k)
-    return total
+    # merged in shard order: deterministic for any thread count
+    return functools.reduce(_merge, shards)
 
 
 @dataclass
@@ -251,7 +238,7 @@ class MomentEstimate:
     s: float
     samples: int
     seed: object
-    tail_share: float = 0.0
+    ess: float = 0.0  # effective sample size, see `mc_moment`
     tail_warning: bool = False
 
 
@@ -284,28 +271,29 @@ def mc_moment(p, s: float, samples: int = 10**6, seed=0,
               threads: int = 1) -> MomentEstimate:
     """Sample mean and standard error of |P(Z)|^(2s) under the Gaussian.
 
-    s = 0 short-circuits to exactly 1 without sampling.  Heavy-tailed
-    integrands (s >= 2) report the mass share of the top 0.1% of samples
-    and warn when it exceeds 20%.
+    s = 0 short-circuits to exactly 1 without sampling.  `ess` is the
+    effective sample size (sum x)^2 / sum x^2 of the samples x = |P|^(2s),
+    read off the merged moments as n / (1 + M2 / (n mean^2)); a heavy tail,
+    where a few samples carry the mean, warns when the ESS falls below 1% of
+    the samples, at any s.
     """
     if s < 0:
         raise ValueError("s must be >= 0 (no analytic continuation here)")
     if s == 0:
         return MomentEstimate(mean=1.0, stderr=0.0, s=0.0, samples=0, seed=seed)
     stats = _run_mc(p, float(s), False, samples, seed, threads)
-    var = stats.m2x / (stats.n - 1)
-    stderr = math.sqrt(var / stats.n)
-    _require_finite(mean=stats.mean_x, stderr=stderr)
-    total_mass = stats.mean_x * stats.n
-    tail_share = float(stats.top.sum() / total_mass) if total_mass > 0 else 0.0
-    warn = bool(s >= 2 and tail_share > 0.2)
+    n, mean = stats.n, stats.mean_x
+    stderr = math.sqrt(stats.m2x / (n - 1) / n)
+    _require_finite(mean=mean, stderr=stderr)
+    # via the coefficient of variation, so no tiny mean's square underflows
+    cv = math.sqrt(stats.m2x / n) / mean if mean > 0 else 0.0
+    ess = n / (1 + cv * cv)
+    warn = ess < 0.01 * n
     if warn:
-        logger.warning(
-            "heavy tail: top 0.1%% of samples carries %.1f%% of E|P|^(2s) at s=%g",
-            100 * tail_share, s)
-    return MomentEstimate(mean=stats.mean_x, stderr=stderr, s=float(s),
-                          samples=samples, seed=seed,
-                          tail_share=tail_share, tail_warning=warn)
+        logger.warning("heavy tail: effective sample size %.1f of %d samples "
+                       "of |P|^(2s) at s=%g", ess, n, s)
+    return MomentEstimate(mean=mean, stderr=stderr, s=float(s), samples=samples,
+                          seed=seed, ess=ess, tail_warning=warn)
 
 
 def _require_finite(**values) -> None:

@@ -645,19 +645,19 @@ def gaussian_batch(shape: MatrixShape, count: int, rng_seed=0) -> np.ndarray:
     return out
 
 
-def random_unimodular(n: int, rng_seed=0, steps: int = 12, bound: int = 2) -> GroupElement:
-    """Random integer matrix of determinant exactly 1 (product of shears).
-
-    Exact entries keep conjugate-torus supports exact downstream.
-    """
+def random_unimodular(n: int, rng_seed=0) -> GroupElement:
+    """Random integer matrix of determinant exactly 1: 12 shears row_i +=
+    k * row_j, 1 <= |k| <= 2.  Exact entries keep conjugate-torus supports
+    exact downstream."""
     rng = _as_rng(rng_seed)
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    if n == 1:  # SL(1) is trivial
+        return GroupElement(mat)
+    for _ in range(12):
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n - 1))
         j = j if j < i else j + 1
-        k = int(rng.integers(1, bound + 1)) * (1 if rng.integers(0, 2) else -1)
-        # row_i += k * row_j
+        k = int(rng.integers(1, 3)) * (1 if rng.integers(0, 2) else -1)
         mat[i] = [a + k * b for a, b in zip(mat[i], mat[j])]
     return GroupElement(mat)
 

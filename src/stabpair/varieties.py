@@ -20,7 +20,6 @@ declared degree is spot-checked when it is built) and must equal 2d and
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -37,8 +36,6 @@ from .polyrep import (
     SparsePolynomial,
     monomial,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "VarietyExample",

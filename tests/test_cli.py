@@ -1,5 +1,6 @@
 """Command-line surface: parsing, artifacts, manifests, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -279,11 +280,21 @@ def test_variety_emit_alias(tmp_path, capsys):
 def test_csv_cells_never_leak_numpy_reprs():
     import numpy as np
 
-    from stabpair.cli import _csv_cell
+    from stabpair.cli import _csv_text
 
-    assert _csv_cell(np.float64(1.5)) == "1.5"
-    assert _csv_cell(0.1) == "0.1"
-    assert _csv_cell(7) == "7"
+    text = _csv_text("cells", ["a", "b", "c"], [[np.float64(1.5), 0.1, 7]])
+    assert text == "# cells\na,b,c\n1.5,0.1,7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--pair", "v=res:2,w=disc:2", "--sigma", "diag:2,1,0.5"],
+    ["semistable", "--pair", "v=disc:3,w=res:3", "--trials", "3", "--seed", "1"],
+], ids=["energy", "semistable-witness"])
+def test_report_csv_quotes_cells_that_hold_commas(argv, capsys):
+    assert run(argv + ["--format", "csv"]) == 0
+    comment, header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert comment[0].startswith("# ") and len(header) == len(row)
+    assert dict(zip(header, row))["pair"] == argv[2]
 
 
 def test_overflow_in_height_exits_three(capsys):
@@ -330,7 +341,7 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
         assert run(argv) == 0, argv
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, monkeypatch, capsys):
     assert run(["zeta", "--poly", "bogus:1", "--s", "1"]) == 2
     assert run(["zeta", "--poly", "disc:1", "--s", "1"]) == 2  # family needs d >= 2
     assert run(["degeneration", "--d-range", "x:y"]) == 2
@@ -348,6 +359,15 @@ def test_usage_errors_exit_two(capsys):
     assert run(["variety", "--d", "1"]) == 2
     assert run(["height", "--poly", "disc:3", "--threads", "-3"]) == 2
     assert run(["height", "--poly", "disc:3", "--threads", "0"]) == 2
+    for spec in ("disc:2^0", "disc:2^x"):  # formal powers start at 1
+        assert run(["polytope", "--poly", spec]) == 2
+    # a wrong-typed field, and a top level that is a list
+    for i, text in enumerate(['{"shape":[1,2],"terms":[{"exps":5}]}', "[1, 2]"]):
+        path = tmp_path / f"poly{i}.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["height", "--poly", str(path), "--samples", "100"]) == 2
+    monkeypatch.setenv("STABPAIR_THREADS", "two")
+    assert run(["height", "--poly", "disc:3", "--samples", "100"]) == 2
     # the exact commands read supports, which only the symbolic forms have
     for args in (["polytope", "--poly", "res:5"], ["polytope", "--poly", "disc:6"],
                  ["semistable", "--pair", "v=res:5,w=res:5"],
@@ -359,6 +379,29 @@ def test_usage_errors_exit_two(capsys):
     for m_max in ("0", "-4"):
         assert run(["stable-search", "--pair", "v=disc:2,w=disc:2", "--q", "1",
                     "--m-max", m_max]) == 2
+
+
+def test_any_failure_past_parsing_exits_three(monkeypatch, capsys):
+    from stabpair import igusa
+
+    def broken(*args, **kwargs):
+        raise TypeError("planted internal fault")
+
+    monkeypatch.setattr(igusa, "height", broken)
+    assert run(["height", "--poly", "disc:3", "--samples", "100"]) == 3
+    assert capsys.readouterr().err == "error: TypeError: planted internal fault\n"
+
+
+def test_sigma_from_a_json_matrix_file(tmp_path, capsys):
+    # entries are numbers or [re, im] pairs
+    path = tmp_path / "sigma.json"
+    path.write_text("[[2, 0, 0], [0, [0, 1], 0], [0, 0, 0.5]]", encoding="utf-8")
+    sigma = parse_sigma_spec(str(path), 3)
+    assert sigma.matrix.tolist() == [[2, 0, 0], [0, 1j, 0], [0, 0, 0.5]]
+    assert run(["energy", "--pair", "v=res:2,w=disc:2", "--sigma", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == str(path)
+    path.write_text('[["x"]]', encoding="utf-8")
+    assert run(["energy", "--pair", "v=res:2,w=disc:2", "--sigma", str(path)]) == 2
 
 
 def test_internal_value_error_exits_three(monkeypatch, capsys):

@@ -280,8 +280,7 @@ def test_properness_violated_for_reflexive_pair():
     assert nu_v < 0.5 * j_v - 1.0
     # re-verification at the recorded element
     sigma = est.violated_at
-    assert nu_pair(pair, sigma) < 0.5 * j_aubin(pair.v, sigma,
-                                                degree=pair.degree_v) - 1.0 + 1e-6
+    assert nu_pair(pair, sigma) < 0.5 * j_aubin(pair.v, sigma) - 1.0 + 1e-6
 
 
 def test_properness_violation_past_the_float_range_reports_its_ray():
@@ -295,7 +294,7 @@ def test_properness_violation_past_the_float_range_reports_its_ray():
     nu_v, j_v = est.violation_value
     assert nu_v < 0.5 * j_v - 1.0
     assert nu_v == float(nu_along_ray(pair, lam, [t])[0])
-    assert j_v == float(j_along_ray(pair.v, lam, [t], degree=pair.degree_v)[0])
+    assert j_v == float(j_along_ray(pair.v, lam, [t])[0])
 
 
 def test_properness_probe_rejects_decades_past_the_float_range():
@@ -365,6 +364,18 @@ def test_inf_nu_vs_distance_consistency():
     val, _, _ = nu_infimum(pair, restarts=15, seed=11, maxiter=300)
     est = orbit_distance(pair, restarts=15, seed=12, maxiter=300)
     assert val >= est.log_tan_sq - 0.2
+    assert abs(val - est.log_tan_sq) < 0.1
+
+
+def test_orbit_distance_meets_nu_infimum_on_five_columns():
+    # the semistable pair (1, z0^3 + 2 z1z2z3 + z4^3) on C^5, within the 0.1
+    # bound of acceptance criterion 5
+    s15 = MatrixShape(1, 5)
+    w = SparsePolynomial(s15, {((3, 0, 0, 0, 0),): 1, ((0, 1, 1, 1, 0),): 2,
+                               ((0, 0, 0, 0, 3),): 1})
+    pair = PairSpec.of(constant(s15, 1), w)
+    val, _, _ = nu_infimum(pair, restarts=3, seed=1, maxiter=300)
+    est = orbit_distance(pair, restarts=3, seed=11, maxiter=300)
     assert abs(val - est.log_tan_sq) < 0.1
 
 

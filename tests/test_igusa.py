@@ -33,6 +33,7 @@ from stabpair.polyrep import (
     act,
     constant,
     determinant_poly,
+    gaussian_batch,
     monomial,
 )
 from stabpair.varieties import rnc_hyperdiscriminant
@@ -172,7 +173,33 @@ def test_blackbox_height_deterministic_across_threads():
 
 def test_moment_heavy_tail_warning():
     est = mc_moment(z0(2), 6.0, samples=100_000, seed=8)
-    assert est.tail_warning and est.tail_share > 0.2
+    assert est.tail_warning and est.ess == pytest.approx(19.6, abs=0.05)
+
+
+@pytest.mark.parametrize("poly, s, ess, warns", [
+    (z0(2), 2.0, 16_200, False),
+    (determinant_poly(2), 2.0, 5_700, False),
+    # one sample carries the whole mean, at s = 1
+    (rnc_hyperdiscriminant(12), 1.0, 1.0, True),
+], ids=["z0-s2", "det:2-s2", "disc:12-s1"])
+def test_heavy_tail_warning_reads_the_effective_sample_size(poly, s, ess, warns, caplog):
+    est = mc_moment(poly, s, samples=100_000, seed=8)
+    assert est.ess == pytest.approx(ess, rel=0.05)
+    assert est.tail_warning is warns
+    assert ("effective sample size" in caplog.text) is warns
+
+
+def test_effective_sample_size_is_that_of_the_pooled_samples():
+    # three shards merged by Chan steps give (sum x)^2 / sum x^2 of all samples
+    p, samples = determinant_poly(2), 150_000
+    sizes = [igusa.SHARD_SIZE, igusa.SHARD_SIZE, samples - 2 * igusa.SHARD_SIZE]
+    seqs = np.random.SeedSequence(4).spawn(len(sizes))
+    x = np.concatenate([
+        np.abs(p.evaluate_batch(gaussian_batch(p.shape, size, np.random.default_rng(seq)))) ** 4
+        for size, seq in zip(sizes, seqs)])
+    est = mc_moment(p, 2.0, samples=samples, seed=4)
+    assert est.mean == pytest.approx(x.mean(), rel=1e-12)
+    assert est.ess == pytest.approx(x.sum() ** 2 / (x * x).sum(), rel=1e-9)
 
 
 def test_moment_rejects_negative_s_and_nonfinite():

@@ -225,6 +225,15 @@ def test_probe_reflexive_pair_certified():
     assert verdict.trials == 10
 
 
+def test_one_column_pairs_probe_and_search_by_the_identity():
+    # SL(1) is trivial: the conjugate trials act by the identity
+    pair = PairSpec.of(monomial(MatrixShape(1, 1), ((1,),)),
+                       monomial(MatrixShape(1, 1), ((2,),)))
+    assert random_unimodular(1, np.random.default_rng(0)).entries == ((1,),)
+    assert semistable_probe(pair, trials=2).status == CERTIFIED
+    assert stable_search(pair, q=1, probe_trials=1) == 1
+
+
 def test_probe_mumford_reduction_destabilizes_at_identity():
     # v constant, w missing the origin from its weight polytope: the orbit
     # of w can reach zero, and the identity trial already certifies that.
