@@ -265,6 +265,7 @@ class HeightReport:
     samples: int
     seed: object
     resampled: int = 0
+    ess: Optional[float] = None  # of the sampled Z(1) weights |P|^2; None where log Z(1) is exact
 
 
 def mc_moment(p, s: float, samples: int = 10**6, seed=0,
@@ -285,15 +286,24 @@ def mc_moment(p, s: float, samples: int = 10**6, seed=0,
     n, mean = stats.n, stats.mean_x
     stderr = math.sqrt(stats.m2x / (n - 1) / n)
     _require_finite(mean=mean, stderr=stderr)
+    ess, warn = _effective_sample_size(stats, f"|P|^(2s) at s={s:g}")
+    return MomentEstimate(mean=mean, stderr=stderr, s=float(s), samples=samples,
+                          seed=seed, ess=ess, tail_warning=warn)
+
+
+def _effective_sample_size(stats: _ShardStats, what: str) -> tuple:
+    """(ESS, heavy tail) of the samples x: (sum x)^2 / sum x^2 read off the
+    merged moments, and whether it is below 1% of the samples, which logs a
+    warning naming `what`."""
+    n, mean = stats.n, stats.mean_x
     # via the coefficient of variation, so no tiny mean's square underflows
     cv = math.sqrt(stats.m2x / n) / mean if mean > 0 else 0.0
     ess = n / (1 + cv * cv)
     warn = ess < 0.01 * n
     if warn:
-        logger.warning("heavy tail: effective sample size %.1f of %d samples "
-                       "of |P|^(2s) at s=%g", ess, n, s)
-    return MomentEstimate(mean=mean, stderr=stderr, s=float(s), samples=samples,
-                          seed=seed, ess=ess, tail_warning=warn)
+        logger.warning("heavy tail: effective sample size %.1f of %d samples of %s",
+                       ess, n, what)
+    return ess, warn
 
 
 def _require_finite(**values) -> None:
@@ -482,8 +492,9 @@ def height(p, samples: int = 10**6, seed=0, threads: int = 1,
     values = {"h": -log_z1 + zp0, "log_Z1": log_z1, "Zprime0": zp0,
               "stderr": stderr, "ci_halfwidth": 3 * stderr}
     _require_finite(**values)
+    ess = None if mixed else _effective_sample_size(stats, "|P|^2 in log Z(1)")[0]
     return HeightReport(**values, method="mixed" if mixed else "monte-carlo",
-                        samples=samples, seed=seed, resampled=stats.resampled)
+                        samples=samples, seed=seed, resampled=stats.resampled, ess=ess)
 
 
 @dataclass

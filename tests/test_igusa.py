@@ -189,6 +189,17 @@ def test_heavy_tail_warning_reads_the_effective_sample_size(poly, s, ess, warns,
     assert ("effective sample size" in caplog.text) is warns
 
 
+def test_sampled_log_z1_reports_its_effective_sample_size(caplog):
+    # the same samples as the disc:12 moment above: one carries the whole Z(1)
+    rep = height(rnc_hyperdiscriminant(12), samples=100_000, seed=8)
+    assert rep.method == "monte-carlo"
+    assert rep.ess == pytest.approx(1.03, abs=0.005)
+    assert "effective sample size 1.0 of 100000 samples of |P|^2 in log Z(1)" in caplog.text
+    # an exact log Z(1) has no weights to count
+    assert height(disc2(), samples=2000, seed=1).ess is None
+    assert height_monomial_closed(z0(2)).ess is None
+
+
 def test_effective_sample_size_is_that_of_the_pooled_samples():
     # three shards merged by Chan steps give (sum x)^2 / sum x^2 of all samples
     p, samples = determinant_poly(2), 150_000

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geomref import binary_form_mul
-from stabpair import igusa
+from stabpair import igusa, varieties
 from stabpair.energy import nu_pair
 from stabpair.exactgeom import dilate
 from stabpair.igusa import (
@@ -30,6 +30,7 @@ from stabpair.polyrep import (
     support,
 )
 from stabpair.varieties import (
+    BEZOUT_LDL_LIMIT,
     BEZOUT_MINOR_LIMIT,
     BEZOUT_STACK_BYTES,
     _bezout_resultant,
@@ -262,24 +263,30 @@ def assert_close_to_sylvester(vals, fs, gs):
     assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-10
 
 
-SYLVESTER_DEGREES = range(2, 13)
+# res:d factors at n = d and disc:d at n = d - 1: each list reaches all three
+# kernels, minors, LDL^T and LU
+SYLVESTER_DEGREES = (*range(2, 13), 22, 23, 24)
+HYPERDISCRIMINANT_DEGREES = range(3, 25)
 
 
 def test_sylvester_degrees_straddle_the_minor_limit():
-    assert SYLVESTER_DEGREES[0] <= BEZOUT_MINOR_LIMIT < SYLVESTER_DEGREES[-1]
+    # and the LDL^T limit: the res and disc sizes each reach all three kernels
+    for sizes in (list(SYLVESTER_DEGREES), [d - 1 for d in HYPERDISCRIMINANT_DEGREES]):
+        assert min(sizes) <= BEZOUT_MINOR_LIMIT < BEZOUT_LDL_LIMIT < max(sizes)
+        assert any(BEZOUT_MINOR_LIMIT < n <= BEZOUT_LDL_LIMIT for n in sizes)
 
 
 @pytest.mark.parametrize("d", SYLVESTER_DEGREES)
 def test_bezout_resultant_matches_sylvester(d):
     # the sign (-1)^(n(n-1)/2) included: res:d at n = d, by minors up to
-    # BEZOUT_MINOR_LIMIT and by LU beyond
+    # BEZOUT_MINOR_LIMIT, by LDL^T up to BEZOUT_LDL_LIMIT and by LU beyond
     batch = gaussian_batch(MatrixShape(2, d + 1), 200, np.random.default_rng(40 + d))
     fs, gs = batch[:, 0, :], batch[:, 1, :]
     assert_close_to_sylvester(_bezout_resultant(fs, gs), fs, gs)
     assert_close_to_sylvester(rnc_resultant(d).evaluate_batch(batch), fs, gs)
 
 
-@pytest.mark.parametrize("d", range(3, 25))
+@pytest.mark.parametrize("d", HYPERDISCRIMINANT_DEGREES)
 def test_bezout_hyperdiscriminant_matches_sylvester(d):
     # the resultant of the two partials, at n = d - 1, with weighted columns
     a = gaussian_batch(MatrixShape(1, d + 1), 200, np.random.default_rng(70 + d))
@@ -292,8 +299,8 @@ def test_bezout_hyperdiscriminant_matches_sylvester(d):
 
 
 def test_bezout_stack_is_built_in_slices(monkeypatch):
-    # one 65,536-sample shard of disc:12 never factors more than the byte
-    # budget at once, and slicing changes no determinant by a single bit
+    # past BEZOUT_LDL_LIMIT, a disc:30 batch never goes to LU more than the
+    # byte budget at once, and slicing changes no determinant by a single bit
     det = np.linalg.det
     calls = []
 
@@ -302,8 +309,8 @@ def test_bezout_stack_is_built_in_slices(monkeypatch):
         assert m.nbytes <= BEZOUT_STACK_BYTES
         return det(m)
 
-    disc = rnc_hyperdiscriminant(12)
-    batch = gaussian_batch(disc.shape, 1 << 16, np.random.default_rng(4))
+    disc = rnc_hyperdiscriminant(30)
+    batch = gaussian_batch(disc.shape, 2000, np.random.default_rng(4))
     monkeypatch.setattr(np.linalg, "det", recording_det)
     vals = disc.evaluate_batch(batch)
     assert len(calls) > 1 and sum(calls) == len(batch)
@@ -314,6 +321,92 @@ def test_bezout_stack_is_built_in_slices(monkeypatch):
     unsliced = disc.evaluate_batch(batch[window])
     assert calls == [2 * half]
     assert vals[window].tobytes() == unsliced.tobytes()
+
+
+def test_ldl_values_do_not_depend_on_slicing_or_threads(monkeypatch):
+    # disc:12 factors at n = 11 by LDL^T: one 65,536-sample batch gives the
+    # same bytes whole and in 1,000-sample pieces, LU fallbacks included, and
+    # its heights the same numbers on one thread and two
+    lu = varieties._lu_det
+    fallbacks = []
+
+    def recording_lu(b):
+        fallbacks.append(b.shape[2])
+        return lu(b)
+
+    disc = rnc_hyperdiscriminant(12)
+    batch = gaussian_batch(disc.shape, 1 << 16, np.random.default_rng(4))
+    monkeypatch.setattr(varieties, "_lu_det", recording_lu)
+    whole = disc.evaluate_batch(batch)
+    assert fallbacks and sum(fallbacks) < 0.001 * len(batch)
+    pieces = [disc.evaluate_batch(batch[lo:lo + 1000]) for lo in range(0, len(batch), 1000)]
+    assert whole.tobytes() == np.concatenate(pieces).tobytes()
+    one, two = (height(disc, samples=igusa.SHARD_SIZE + 4000, seed=9, threads=t)
+                for t in (1, 2))
+    assert (one.h, one.stderr, one.ess) == (two.h, two.stderr, two.ess)
+
+
+def by_lu(fs, gs, weights=(1, 1)):
+    """Reference: the same resultants with every Bezout size past the minors
+    factored by LU, as before the LDL^T range existed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(varieties, "BEZOUT_LDL_LIMIT", BEZOUT_MINOR_LIMIT)
+        return _bezout_resultant(fs, gs, weights)
+
+
+# res:9 rows with a common root at 2s = 3t, of integer coefficients
+COMMON_ROOT = [binary_form_mul([2, -3], [1, -2, 0, 3, 1, -1, 2, 0, 1]),
+               binary_form_mul([2, -3], [2, 1, -1, 0, 3, -2, 1, 1, -3])]
+
+
+@pytest.mark.parametrize("f, g, common_root", [
+    # the first pivot f_0 g_1 - g_0 f_1 exactly 0, and 2^-12, under 2^-10 of its column,
+    # while the resultant is not 0
+    ({0: 1, 1: 2}, {0: 2, 1: 4}, False),
+    ({0: 1, 1: 2}, {0: 2, 1: 4 + 2.0**-12}, False),
+    # a common root: at 2s = 3t, at t = 0 (f_0 = g_0 = 0), at s = 0 (f_n = g_n = 0)
+    (dict(enumerate(COMMON_ROOT[0])), dict(enumerate(COMMON_ROOT[1])), True),
+    ({0: 0}, {0: 0}, True),
+    ({-1: 0}, {-1: 0}, True),
+], ids=["zero-pivot", "tiny-pivot", "common-root", "common-root-t", "common-root-s"])
+def test_uncertified_ldl_samples_take_lus_value(f, g, common_root):
+    # res:9 factors at n = 9 by LDL^T; the first sample, with the coefficients
+    # f and g planted, fails its certificate and takes LU's value bit for bit
+    batch = gaussian_batch(MatrixShape(2, 10), 300, np.random.default_rng(31))
+    fs, gs = batch[:, 0, :].copy(), batch[:, 1, :].copy()
+    for rows, planted in ((fs, f), (gs, g)):
+        for j, c in planted.items():
+            rows[0, j] = c
+    got, want = _bezout_resultant(fs, gs), by_lu(fs, gs)
+    assert got[:1].tobytes() == want[:1].tobytes()
+    assert common_root or want[0] != 0
+    assert np.max(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) < 1e-10
+
+
+def test_overflowing_ldl_batches_keep_lus_values_and_errors(monkeypatch):
+    # scaled by 1e17, LU overflows on most of a res:9 batch: those samples
+    # keep LU's inf bit for bit, the rest agree with it, and a height fails
+    # with LU's named error and no RuntimeWarning
+    p = rnc_resultant(9)
+    batch = 1e17 * gaussian_batch(p.shape, 2000, np.random.default_rng(3))
+    fs, gs = batch[:, 0, :], batch[:, 1, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _bezout_resultant(fs, gs), by_lu(fs, gs)
+    bad = ~np.isfinite(want)
+    assert 0 < bad.sum() < len(want)
+    assert got[bad].tobytes() == want[bad].tobytes()
+    assert np.max(np.abs(got[~bad] - want[~bad]) / np.abs(want[~bad])) < 1e-10
+    draw = igusa.gaussian_batch
+    monkeypatch.setattr(igusa, "gaussian_batch", lambda *args: 1e17 * draw(*args))
+    errors = []
+    for limit in (BEZOUT_LDL_LIMIT, BEZOUT_MINOR_LIMIT):
+        monkeypatch.setattr(varieties, "BEZOUT_LDL_LIMIT", limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ArithmeticError, EvaluationError)) as err:
+                height(p, samples=1000, seed=2)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
 
 
 # -- planted-root vanishing -----------------------------------------------------------
