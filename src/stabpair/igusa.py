@@ -38,7 +38,7 @@ from .polyrep import (
     FormalPower,
     SparsePolynomial,
     exact_gaussian_norm_sq,
-    gaussian_batch,
+    gaussian_chunks,
 )
 
 logger = logging.getLogger(__name__)
@@ -161,15 +161,26 @@ def _merge(a: _ShardStats, b: _ShardStats) -> _ShardStats:
     )
 
 
+def _sampled_values(p, count: int, rng) -> np.ndarray:
+    """P at `count` fresh Gaussian draws, each chunk evaluated as it is drawn."""
+    vals = np.empty(count, dtype=complex)
+    lo = 0
+    for chunk in gaussian_chunks(p.shape, count, rng):
+        vals[lo:lo + len(chunk)] = p.evaluate_batch(chunk)
+        lo += len(chunk)
+    return vals
+
+
 def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
                  shard_index: int) -> _ShardStats:
-    """Moments of one shard of `count` samples, drawn in a single batch."""
+    """Moments of one shard of `count` samples, streamed chunk by chunk; its
+    zero values are redrawn after the whole shard."""
     # values past the float range are caught by the finiteness checks here
     # and on the callers' results, which raise named errors; numpy need not
     # warn first
     with np.errstate(over="ignore", invalid="ignore"):
         rng = np.random.default_rng(seed_seq)
-        vals = p.evaluate_batch(gaussian_batch(p.shape, count, rng))
+        vals = _sampled_values(p, count, rng)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise EvaluationError(f"non-finite value at shard {shard_index}, sample {bad}")
@@ -183,10 +194,11 @@ def _shard_stats(p, count: int, seed_seq, s: float, need_log: bool,
                 if zero.size == 0:
                     break
                 resampled += int(zero.size)
-                vals_new = p.evaluate_batch(gaussian_batch(p.shape, int(zero.size), rng))
+                vals_new = _sampled_values(p, int(zero.size), rng)
                 if not np.all(np.isfinite(vals_new)):
-                    raise EvaluationError(
-                        f"non-finite value during resampling in shard {shard_index}")
+                    bad = int(zero[np.flatnonzero(~np.isfinite(vals_new))[0]])
+                    raise EvaluationError(f"non-finite value during resampling in shard "
+                                          f"{shard_index}, sample {bad}")
                 sq[zero] = np.abs(vals_new) ** 2
             else:
                 raise EvaluationError(

@@ -56,6 +56,7 @@ __all__ = [
     "FormalPower",
     "support",
     "act",
+    "gaussian_chunks",
     "gaussian_batch",
     "random_unimodular",
     "exact_gaussian_norm_sq",
@@ -629,20 +630,35 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def gaussian_batch(shape: MatrixShape, count: int, rng_seed=0) -> np.ndarray:
-    """`count` draws of the standard complex Gaussian on the matrix space:
-    i.i.d. entries with E|z_ij|^2 = 1, so the density is exp(-|Z|^2) / pi^dim.
-    Real then imaginary parts go through one float buffer, each times
-    1/sqrt(2), which is bit for bit numpy's (re + 1j * im) / sqrt(2)."""
+def gaussian_chunks(shape: MatrixShape, count: int, rng_seed=0,
+                    chunk: int = EVALUATION_CHUNK):
+    """`count` draws of the standard complex Gaussian on the matrix space,
+    yielded `chunk` samples at a time (none for count = 0): i.i.d. entries
+    with E|z_ij|^2 = 1, so the density is exp(-|Z|^2) / pi^dim.
+
+    All real parts are drawn first, then the imaginary parts one chunk at a
+    time into the real parts' spent slice; each part is times 1/sqrt(2),
+    bit for bit numpy's (re + 1j * im) / sqrt(2).  This order is the seeded
+    stream, so any chunk size gives the same draws, and a caller holds
+    8 * count * dim bytes plus its current chunk, not the whole batch."""
     rng = _as_rng(rng_seed)
     shape = MatrixShape(*shape)
-    out = np.empty((count, shape.rows, shape.cols), dtype=complex)
-    buf = rng.standard_normal(out.shape)
+    buf = rng.standard_normal((count, *shape))
     scale = 1.0 / np.sqrt(2.0)
-    np.multiply(buf, scale, out=out.real)
-    rng.standard_normal(out=buf)
-    np.multiply(buf, scale, out=out.imag)
-    return out
+    for lo in range(0, count, chunk):
+        part = buf[lo:lo + chunk]
+        out = np.empty(part.shape, dtype=complex)
+        np.multiply(part, scale, out=out.real)
+        rng.standard_normal(out=part)
+        np.multiply(part, scale, out=out.imag)
+        yield out
+
+
+def gaussian_batch(shape: MatrixShape, count: int, rng_seed=0) -> np.ndarray:
+    """`count` draws of `gaussian_chunks` as one (count, rows, cols) batch."""
+    shape = MatrixShape(*shape)
+    return next(gaussian_chunks(shape, count, rng_seed, chunk=max(count, 1)),
+                np.empty((0, *shape), dtype=complex))
 
 
 def random_unimodular(n: int, rng_seed=0) -> GroupElement:

@@ -1,12 +1,13 @@
 """Gaussian zeta functions, heights, gamma tools, degeneration closed forms."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stabpair import igusa
+from stabpair import igusa, polyrep
 from stabpair.igusa import (
     EULER_GAMMA,
     EvaluationError,
@@ -392,17 +393,94 @@ def test_log_moments_stay_finite_where_the_moment_overflows():
     assert math.isfinite(value) and math.isfinite(stderr)
 
 
-def test_height_resampling_counter():
-    # a black box that is exactly zero on a thin slab: resampling finishes
-    def ev(b):
-        v = b[:, 0, 0].copy()
-        v[np.abs(v.real) <= 1e-3] = 0.0
-        return v
+def slab_zero(b):
+    """A black box that is exactly zero on a thin slab."""
+    v = b[:, 0, 0].copy()
+    v[np.abs(v.real) <= 1e-3] = 0.0
+    return v
 
-    p = BlackBoxPolynomial(MatrixShape(1, 2), 1, evaluator=ev, check_samples=0)
+
+def test_height_resampling_counter():
+    # resampling the slab's zeros finishes
+    p = BlackBoxPolynomial(MatrixShape(1, 2), 1, evaluator=slab_zero, check_samples=0)
     rep = height(p, samples=50_000, seed=11)
     assert rep.resampled > 0
     assert np.isfinite(rep.h)
+
+
+def test_non_finite_redraw_names_its_shard_and_sample():
+    # the second shard's 100 samples hold one zero, at sample 37; its redraw
+    # is infinite
+    def ev(b):
+        v = np.ones(len(b), dtype=complex)
+        if len(b) == 100:
+            v[37] = 0.0
+        elif len(b) == 1:
+            v[0] = np.inf
+        return v
+
+    p = BlackBoxPolynomial(MatrixShape(1, 2), 1, evaluator=ev, check_samples=0)
+    with pytest.raises(EvaluationError) as err:
+        height(p, samples=igusa.SHARD_SIZE + 100, seed=0)
+    assert str(err.value) == "non-finite value during resampling in shard 1, sample 37"
+
+
+# -- streamed shards -------------------------------------------------------------------
+
+def whole_batch(shape, count, rng):
+    """A shard's draws as one gaussian_batch, evaluated in one call."""
+    yield gaussian_batch(shape, count, rng)
+
+
+def test_streamed_shard_stats_equal_the_whole_batch(monkeypatch):
+    # 10,000 samples make two full chunks and a partial one; the slab black
+    # box plants zeros, which are redrawn after the whole shard
+    slab = BlackBoxPolynomial(MatrixShape(1, 2), 1, evaluator=slab_zero, check_samples=0)
+    seq = np.random.SeedSequence(5).spawn(3)[2]
+    for p, s, need_log in ((rnc_hyperdiscriminant(12), 1.0, True),
+                           (determinant_poly(3), 0.5, False),
+                           (slab, 1.0, True)):
+        streamed = igusa._shard_stats(p, 10_000, seq, s, need_log, 2)
+        with monkeypatch.context() as m:
+            m.setattr(igusa, "gaussian_chunks", whole_batch)
+            whole = igusa._shard_stats(p, 10_000, seq, s, need_log, 2)
+        assert streamed == whole
+    assert streamed.resampled > 0
+
+
+def test_streamed_shard_names_the_non_finite_sample_as_the_whole_batch_does(monkeypatch):
+    # the first infinite value lies in the second chunk; its index is the
+    # shard's, not the chunk's
+    p = BlackBoxPolynomial(
+        MatrixShape(1, 3), 1, check_samples=0,
+        evaluator=lambda b: np.where(np.abs(b[:, 0, 0]) > 3.0, np.inf, b[:, 0, 0]))
+    seq = np.random.SeedSequence(3).spawn(4)[3]
+    batch = gaussian_batch(p.shape, 20_000, np.random.default_rng(seq))
+    first = int(np.flatnonzero(np.abs(batch[:, 0, 0]) > 3.0)[0])
+    assert first > polyrep.EVALUATION_CHUNK
+    messages = []
+    for stream in (igusa.gaussian_chunks, whole_batch):
+        monkeypatch.setattr(igusa, "gaussian_chunks", stream)
+        with pytest.raises(EvaluationError) as err:
+            igusa._shard_stats(p, 20_000, seq, 1.0, True, 3)
+        messages.append(str(err.value))
+    assert messages == [f"non-finite value at shard 3, sample {first}"] * 2
+
+
+def test_a_streamed_shard_holds_its_real_parts_not_its_complex_batch():
+    # one 65,536-sample disc:12 shard: its real parts take 6.5 MiB, and its
+    # whole complex batch would take another 13 MiB
+    p = rnc_hyperdiscriminant(12)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        height(p, samples=65_536, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 15 * 2**20
 
 
 # -- bounds audit ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from stabpair.polyrep import (
     constant,
     determinant_poly,
     gaussian_batch,
+    gaussian_chunks,
     monomial,
     poly_from_json,
     poly_to_json,
@@ -424,8 +425,10 @@ def test_gaussian_sampling_deterministic():
 
 @pytest.mark.parametrize("shape", [(1, 13), (2, 5), (3, 3)])
 def test_gaussian_batch_is_the_complex_quotient_bit_for_bit(shape):
-    # every seeded height depends on this stream, byte for byte
-    for count in (0, 1, 4097):
+    # every seeded height depends on this stream, byte for byte, and a
+    # streamed shard draws exactly the samples of its whole batch
+    chunk = polyrep.EVALUATION_CHUNK
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 16 * chunk + 1):
         for seed in (0, 7, 2024):
             rng = np.random.default_rng(seed)
             re = rng.standard_normal((count, *shape))
@@ -434,6 +437,12 @@ def test_gaussian_batch_is_the_complex_quotient_bit_for_bit(shape):
             got = gaussian_batch(MatrixShape(*shape), count, np.random.default_rng(seed))
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            parts = list(gaussian_chunks(MatrixShape(*shape), count,
+                                         np.random.default_rng(seed)))
+            assert [len(c) for c in parts] == [min(chunk, count - lo)
+                                               for lo in range(0, count, chunk)]
+            if parts:
+                assert np.concatenate(parts).tobytes() == want.tobytes()
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -233,8 +233,9 @@ def test_expanded_forms_overflow_as_their_terms_do(monkeypatch, scale, error):
     # on samples scaled by 1e20, |P|^2 of these degree-8 forms overflows, and
     # by 1e40 P itself: either way a named error and no RuntimeWarning, as
     # with the term loop
-    draw = igusa.gaussian_batch
-    monkeypatch.setattr(igusa, "gaussian_batch", lambda *args: scale * draw(*args))
+    draw = igusa.gaussian_chunks
+    monkeypatch.setattr(igusa, "gaussian_chunks",
+                        lambda *args: (scale * chunk for chunk in draw(*args)))
     for p in (rnc_resultant(4), rnc_hyperdiscriminant(5)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -396,8 +397,9 @@ def test_overflowing_ldl_batches_keep_lus_values_and_errors(monkeypatch):
     assert 0 < bad.sum() < len(want)
     assert got[bad].tobytes() == want[bad].tobytes()
     assert np.max(np.abs(got[~bad] - want[~bad]) / np.abs(want[~bad])) < 1e-10
-    draw = igusa.gaussian_batch
-    monkeypatch.setattr(igusa, "gaussian_batch", lambda *args: 1e17 * draw(*args))
+    draw = igusa.gaussian_chunks
+    monkeypatch.setattr(igusa, "gaussian_chunks",
+                        lambda *args: (1e17 * chunk for chunk in draw(*args)))
     errors = []
     for limit in (BEZOUT_LDL_LIMIT, BEZOUT_MINOR_LIMIT):
         monkeypatch.setattr(varieties, "BEZOUT_LDL_LIMIT", limit)
