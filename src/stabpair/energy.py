@@ -46,6 +46,7 @@ from .polyrep import (
     _monomial_weight,
     act,
     exact_gaussian_norm_sq,
+    log_exact_gaussian_norm_sq,
 )
 
 __all__ = [
@@ -90,6 +91,8 @@ def log_gaussian_norm_sq(p: AnyPolynomial, samples: int = 200_000, seed=0) -> fl
     """log E|P(Z)|^2, scaling linearly through formal tensor powers."""
     if isinstance(p, FormalPower):
         return p.exponent * log_gaussian_norm_sq(p.base, samples=samples, seed=seed)
+    if isinstance(p, SparsePolynomial):
+        return log_exact_gaussian_norm_sq(p)
     return math.log(gaussian_norm_sq(p, samples=samples, seed=seed))
 
 

@@ -37,8 +37,8 @@ import numpy as np
 from .polyrep import (
     FormalPower,
     SparsePolynomial,
-    exact_gaussian_norm_sq,
     gaussian_chunks,
+    log_exact_gaussian_norm_sq,
 )
 
 logger = logging.getLogger(__name__)
@@ -354,8 +354,8 @@ def zeta(p, s: float, samples: int = 10**6, seed=0, threads: int = 1) -> ZetaEst
     factor = math.exp(_log_gamma_norm(D, d * s))
     value, stderr = factor * moment.mean, factor * moment.stderr
     _require_finite(value=value, stderr=stderr)
-    return ZetaEstimate(s=float(s), value=value, log_value=math.log(value),
-                        stderr=stderr, samples=samples, seed=seed)
+    return ZetaEstimate(s=float(s), value=value, stderr=stderr, samples=samples, seed=seed,
+                        log_value=_log_gamma_norm(D, d * s) + math.log(moment.mean))
 
 
 def zeta_prime_zero(p, samples: int = 10**6, seed=0, threads: int = 1):
@@ -486,7 +486,7 @@ def height(p, samples: int = 10**6, seed=0, threads: int = 1,
     stats = _run_mc(p, 1.0, True, samples, seed, threads)
     zp0, stderr = _sampled_zprime0(stats, d, D)
     if mixed:
-        log_norm = math.log(float(exact_gaussian_norm_sq(p)))
+        log_norm = log_exact_gaussian_norm_sq(p)
     else:
         # log Z(1) is sampled jointly with Z'(0): h = mean_y - log(mean_x) +
         # constants, so the variance is the delta method with covariance

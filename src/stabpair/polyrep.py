@@ -60,6 +60,7 @@ __all__ = [
     "gaussian_batch",
     "random_unimodular",
     "exact_gaussian_norm_sq",
+    "log_exact_gaussian_norm_sq",
     "poly_to_json",
     "poly_from_json",
     "monomial",
@@ -700,6 +701,14 @@ def exact_gaussian_norm_sq(p: SparsePolynomial):
         square = Fraction(coeff) ** 2 if exact else abs(complex(coeff)) ** 2
         total += square * _monomial_weight(exps)
     return total
+
+
+def log_exact_gaussian_norm_sq(p: SparsePolynomial) -> float:
+    """log E|P(Z)|^2, a Fraction norm's as log(numerator) - log(denominator)."""
+    norm = exact_gaussian_norm_sq(p)
+    if isinstance(norm, Fraction):
+        return math.log(norm.numerator) - math.log(norm.denominator)
+    return math.log(norm)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ independently checkable.
 
 Every resultant here is the determinant of one Bezout matrix, filled by
 one recurrence, and at every degree its values come from that determinant:
-small Bezout matrices are expanded by minors, mid-size ones factored by a
-certified LDL^T and larger ones by batched LU.  Small degrees also expand
-it symbolically, with integer coefficients, for supports, exact values and
-exact norms; larger ones stay black boxes.  Degrees are read from the constructions (a black box's
-declared degree is spot-checked when it is built) and must equal 2d and
-2d - 2.
+expanded by minors when small, and beyond by a certified generalized Schur
+pass on the recurrence's generators, with LU for what it leaves uncertified.
+Small degrees also expand it symbolically, with integer coefficients, for
+supports, exact values and exact norms; larger ones stay black boxes.
+Degrees are read from the constructions (a black box's declared degree is
+spot-checked when it is built) and must equal 2d and 2d - 2.
 """
 
 from __future__ import annotations
@@ -51,22 +51,17 @@ __all__ = [
 
 SYMBOLIC_RESULTANT_LIMIT = 4
 SYMBOLIC_DISCRIMINANT_LIMIT = 5
-# bytes of the Bezout stack per det call (res:200 ran 25% faster at 8 MB than 2 MB)
+# bytes of each LU stack of the samples `_schur_det` does not certify
 BEZOUT_STACK_BYTES = 8 << 20
-# largest Bezout size n expanded by minors rather than by LU: per 65,536
-# samples, on one thread of a 2-core host, minors took 0.042 s against LU's
-# 0.079 s at n = 6, 0.099 against 0.098 s at n = 7 and 0.20 against 0.14 s at n = 8
+# largest Bezout size n expanded by minors, which need no certificate, rather than
+# by `_schur_det`: per 65,536 samples, on one thread of a 2-core host, minors took 0.021 s
+# against its 0.032 s at n = 5, 0.038 against 0.037 s at n = 6, 0.083 against 0.051 at 7
 BEZOUT_MINOR_LIMIT = 6
-# largest Bezout size n factored by certified LDL^T rather than by LU: per 65,536
-# samples (16,384 from n = 20), on one thread of a 2-core host, LDL^T took 0.046 s
-# against LU's 0.100 s at n = 7, 0.107 against 0.226 s at n = 11, 0.25 against 0.46 s
-# at n = 16, 0.139 against 0.167 s at n = 22 and 0.184 against 0.183 s at n = 23
-BEZOUT_LDL_LIMIT = 22
-# samples per LDL^T slice, whose stack stays within BEZOUT_STACK_BYTES up to the
-# limit (disc:12 read 0.107 s at 1,024 and 0.121 s at 512)
-LDL_SLICE = 1024
-LDL_PIVOT_RATIO = 2.0 ** -10  # smallest |pivot| / max |column| certified
-LDL_NOISE_RATIO = 2.0 ** -30  # smallest |pivot| / max |entry met| certified
+# bytes per row of a `_schur_det` slice, near a 2 MiB L2 for its ten arrays (per 65,536
+# samples at n = 22, on one thread, 0.37 s at 128 KiB, 0.36 at 256 and 0.41 at 512)
+SCHUR_BYTES = 256 << 10
+PIVOT_RATIO = 2.0 ** -10  # smallest |pivot| / max |column| certified
+NOISE_RATIO = 2.0 ** -30  # smallest |pivot| / max |entry met| certified
 # the range of certified partial pivot products |p|_max: normal floats, and
 # |p| <= 0.71 of the largest, clear of LU's rounding of sign * exp(log |det|)
 TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max / 2
@@ -128,47 +123,46 @@ def _minor_det(b: np.ndarray, work: np.ndarray) -> np.ndarray:
     return work[-2]
 
 
-def _ldl_det(b: np.ndarray) -> np.ndarray:
-    """Determinants of the complex symmetric (n, n, m) stack b by unpivoted
-    LDL^T, overwriting its lower triangle; NaN where a sample is not certified.
+def _schur_det(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`_bezout`'s values for the complex sample columns f and g by generalized
+    Schur (Kailath & Sayed, SIAM Review 37, 1995), in O(n^2) per sample; NaN
+    where a sample is not certified.
 
-    Magnitudes are |z|_max = max(|Re z|, |Im z|), within a factor sqrt(2) of
-    |z| and far cheaper (LAPACK's pivot search likewise uses |Re z| + |Im z|).
-    A sample is certified when every pivot d_k passes the partial-pivoting
-    ratio test |d_k| >= LDL_PIVOT_RATIO * max_{i>=k} |a_ik| (Higham 2002,
-    chs. 9-11), none is below LDL_NOISE_RATIO of the largest entry met in
-    the elimination, where it would be rounding noise (a common root), and
-    every partial product of the pivots lies between TINY and HUGE: zeros,
-    NaNs, gradual underflow and values LU might round past the float range
-    are never certified.
+    R = BJ has R - Z R Z^T = G H^T, Z the down-shift, G = (f_0..f_{n-1},
+    g_0..g_{n-1}) and H = (g_n..g_1, -f_n..-f_1).  Each step reads the pivot
+    d = g_0 h_0, first column (d, l) = G h_0 and row (d, u) = H g_0, and sends
+    G_1 = (G_2 p / d, Z (d, l)) and H_1 = (H_2 q, Z (d, u) / d) on, with
+    p = (g_01, -g_00), q = (h_01, -h_00): the 1/d on G keeps both pairs in range.
+    Certified: every |d| >= PIVOT_RATIO max(|d|, |l|) (partial pivoting's ratio
+    test, Higham 2002, ch. 9) and >= NOISE_RATIO of the largest such entry,
+    below which it is rounding noise (a common root), and every partial
+    product of pivots in [TINY, HUGE]; here |z| is max(|Re z|, |Im z|).
     """
-    n, m = len(b), b.shape[2]
-    tops = np.empty((n, 2 * m))
-    w, tmp = np.empty((n, m), dtype=complex), np.empty((n, m), dtype=complex)
+    n, m = len(f) - 1, f.shape[1]
+    ga, gb, ha, hb = f[:n].copy(), g[:n].copy(), g[:0:-1].copy(), np.negative(f[:0:-1])
+    (col, row, tmp), tops = np.empty((3, n, m), dtype=complex), np.empty((n, 2 * m))
+    pair_max = lambda x: np.maximum(x[..., ::2], x[..., 1::2])  # |z|_max from |z.view(float)|
+
+    def lin(xa, xb, a, b, out, op=np.add):  # out = xa a + xb b, or xa a - xb b
+        op(np.multiply(xa, a, out=out), np.multiply(xb, b, out=tmp[:len(out)]), out=out)
     with np.errstate(all="ignore"):
-        for k in range(n):
-            col = b[k:, k]
-            np.abs(col.view(float)).max(axis=0, out=tops[k])
-            np.multiply(col[1:], 1 / col[0], out=w[k + 1:])
-            for i in range(k + 1, n):
-                np.multiply(col[1:i - k + 1], w[i], out=tmp[:i - k])
-                np.subtract(b[i, k + 1:i + 1], tmp[:i - k], out=b[i, k + 1:i + 1])
-        products = b[np.arange(n), np.arange(n)]  # the pivots, then their partial products
-        sizes, tops = _pair_max(np.abs(products.view(float))), _pair_max(tops)
-        ok = (sizes >= LDL_PIVOT_RATIO * tops) & (sizes >= LDL_NOISE_RATIO * tops.max(axis=0))
-        for k in range(1, n):
-            products[k] *= products[k - 1]
-        sizes = _pair_max(np.abs(products.view(float)))
+        for k in range(n):  # the columns of G and H hold their row k at k
+            c = col[k:]  # col[k] ends as pivot k
+            lin(ga[k:], gb[k:], ha[k], hb[k], c)
+            np.abs(c.view(float)).max(axis=0, out=tops[k])
+            pa, pb = ga[k] / c[0], gb[k] / c[0]  # g_0 / d
+            lin(ha[k:], hb[k:], pa, pb, row[k:])
+            lin(ga[k + 1:], gb[k + 1:], pb, pa, ga[k + 1:], np.subtract)
+            lin(ha[k + 1:], hb[k + 1:], hb[k], ha[k], ha[k + 1:], np.subtract)
+            gb[k + 1:], hb[k + 1:] = c[:-1], row[k:-1]
+        sizes, tops = pair_max(np.abs(col.view(float))), pair_max(tops)
+        ok = (sizes >= PIVOT_RATIO * tops) & (sizes >= NOISE_RATIO * tops.max(axis=0))
+        np.multiply.accumulate(col, out=col)  # the partial products
+        sizes = pair_max(np.abs(col.view(float)))
         ok &= (sizes >= TINY) & (sizes <= HUGE)
-        det = products[-1]
+        det = col[-1]
         det[~ok.all(axis=0)] = np.nan
     return det
-
-
-def _pair_max(x: np.ndarray) -> np.ndarray:
-    """|z|_max from x, the float view of |z|: (|Re z|, |Im z|) pairs along
-    the last axis."""
-    return np.maximum(x[..., ::2], x[..., 1::2])
 
 
 def _lu_det(b: np.ndarray) -> np.ndarray:
@@ -179,37 +173,30 @@ def _bezout_resultant(fs: np.ndarray, gs: np.ndarray, weights=(1, 1)) -> np.ndar
     """Batched resultant of the binary n-forms with coefficient rows
     fs * weights[0] and gs * weights[1], both (batch, n+1).
 
-    Weights and rows are formed per slice, samples last so that each row
-    of B is one contiguous block, in one reused stack.  Up to
-    BEZOUT_MINOR_LIMIT, B is expanded by minors (`_minor_det`) on slices of
-    EVALUATION_CHUNK samples; up to BEZOUT_LDL_LIMIT, slices of LDL_SLICE
-    samples are factored by a certified LDL^T (`_ldl_det`), and each sample
-    it does not certify is rebuilt and factored by LU alone; beyond, slices
-    of at most BEZOUT_STACK_BYTES go to one batched LU (`np.linalg.det`).
+    Weights and rows are formed per slice, samples last.  Up to
+    BEZOUT_MINOR_LIMIT, B is filled and expanded by minors (`_minor_det`)
+    on slices of EVALUATION_CHUNK samples.  Beyond, `_schur_det` reads the
+    rows, on slices of SCHUR_BYTES per row, and only the samples it does not
+    certify fill B, for LU alone, in stacks of at most BEZOUT_STACK_BYTES.
     Every determinant is formed on its own, so slicing changes no value.
     """
     n = fs.shape[1] - 1
+    out = np.empty(len(fs), dtype=complex)
+    rows = lambda sel: ((fs[sel] * weights[0]).T.copy(), (gs[sel] * weights[1]).T.copy())
     if n <= BEZOUT_MINOR_LIMIT:
-        step = EVALUATION_CHUNK
-        work = np.empty(((1 << n) + 1, min(step, len(fs))), dtype=complex)
+        work = np.empty(((1 << n) + 1, min(EVALUATION_CHUNK, len(out))), dtype=complex)
         det = lambda b: _minor_det(b, work[:, :b.shape[2]])
-    elif n <= BEZOUT_LDL_LIMIT:
-        step, det = LDL_SLICE, _ldl_det
+        parts = [slice(lo, lo + EVALUATION_CHUNK) for lo in range(0, len(out), EVALUATION_CHUNK)]
     else:
-        step, det = max(1, BEZOUT_STACK_BYTES // (16 * n * n)), _lu_det
-    out = np.empty(fs.shape[0], dtype=complex)
-    stack = np.empty(n * n * min(step, len(out)), dtype=complex)
-    for lo in range(0, len(out), step):
-        f = (fs[lo:lo + step] * weights[0]).T.copy()
-        g = (gs[lo:lo + step] * weights[1]).T.copy()
-        b = stack[:n * n * f.shape[1]].reshape(n, n, f.shape[1])
-        vals = out[lo:lo + step]
-        vals[:] = _bezout(f, g, b, det)
-        if det is _ldl_det:
-            bad = np.flatnonzero(np.isnan(vals))
-            if bad.size:
-                b = stack[:n * n * bad.size].reshape(n, n, bad.size)
-                vals[bad] = _bezout(f[:, bad], g[:, bad], b, _lu_det)
+        step = max(1, SCHUR_BYTES // (16 * n))
+        for lo in range(0, len(out), step):
+            out[lo:lo + step] = _schur_det(*rows(slice(lo, lo + step)))
+        bad, det = np.flatnonzero(np.isnan(out)), _lu_det
+        step = max(1, BEZOUT_STACK_BYTES // (16 * n * n))
+        parts = [bad[lo:lo + step] for lo in range(0, len(bad), step)]
+    for sel in parts:
+        f, g = rows(sel)
+        out[sel] = _bezout(f, g, np.empty((n, n, f.shape[1]), dtype=complex), det)
     return out
 
 

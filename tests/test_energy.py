@@ -71,6 +71,13 @@ def test_log_norm_formal_power_linearity():
     assert log_gaussian_norm_sq(FormalPower(disc2(), 7)) == pytest.approx(7 * lw)
 
 
+def test_log_norm_of_an_exact_norm_past_the_float_range():
+    # 2 * 171! overflows a float; its log comes from the integer
+    p = monomial(MatrixShape(1, 2), ((171, 0),)) + monomial(MatrixShape(1, 2), ((0, 171),))
+    assert log_gaussian_norm_sq(p) == pytest.approx(math.log(2) + math.lgamma(172),
+                                                    rel=1e-15)
+
+
 def test_gaussian_norm_blackbox_matches_exact():
     from stabpair.polyrep import BlackBoxPolynomial
 

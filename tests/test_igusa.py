@@ -331,6 +331,25 @@ def test_height_mixed_path_for_sparse():
     assert rep.h == pytest.approx(-rep.log_Z1 + rep.Zprime0)
 
 
+def test_mixed_height_logs_an_exact_norm_past_the_float_range():
+    # E|z0^171 + z1^171|^2 = 2 * 171! > 1.8e308, logged from its integer
+    p = monomial(MatrixShape(1, 2), ((171, 0),)) + monomial(MatrixShape(1, 2), ((0, 171),))
+    rep = height(p, samples=2000, seed=1)
+    assert rep.method == "mixed" and math.isfinite(rep.h)
+    want = math.log(2) + math.lgamma(172) + math.lgamma(2) - math.lgamma(173)
+    assert rep.log_Z1 == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_zeta_log_value_outlives_an_underflowed_value():
+    # z0 on C^200 at s = 150: Gamma(200) / Gamma(350) underflows the value
+    # to 0, and log_value is still the sum of the logs
+    p = z0(200)
+    est = zeta(p, 150.0, samples=2000, seed=0)
+    mean = mc_moment(p, 150.0, samples=2000, seed=0).mean
+    assert est.value == 0.0 and est.stderr == 0.0
+    assert est.log_value == float(log_gamma(200) - log_gamma(350)) + math.log(mean)
+
+
 def test_height_scale_invariance():
     a = height(disc2(), samples=150_000, seed=21)
     b = height(10 * disc2(), samples=150_000, seed=22)

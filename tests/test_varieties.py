@@ -30,7 +30,6 @@ from stabpair.polyrep import (
     support,
 )
 from stabpair.varieties import (
-    BEZOUT_LDL_LIMIT,
     BEZOUT_MINOR_LIMIT,
     BEZOUT_STACK_BYTES,
     _bezout_resultant,
@@ -264,23 +263,22 @@ def assert_close_to_sylvester(vals, fs, gs):
     assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-10
 
 
-# res:d factors at n = d and disc:d at n = d - 1: each list reaches all three
-# kernels, minors, LDL^T and LU
+# res:d factors at n = d and disc:d at n = d - 1: each list reaches both
+# kernels, minors and `_schur_det`
 SYLVESTER_DEGREES = (*range(2, 13), 22, 23, 24)
 HYPERDISCRIMINANT_DEGREES = range(3, 25)
 
 
 def test_sylvester_degrees_straddle_the_minor_limit():
-    # and the LDL^T limit: the res and disc sizes each reach all three kernels
+    # the res and disc sizes each reach both kernels
     for sizes in (list(SYLVESTER_DEGREES), [d - 1 for d in HYPERDISCRIMINANT_DEGREES]):
-        assert min(sizes) <= BEZOUT_MINOR_LIMIT < BEZOUT_LDL_LIMIT < max(sizes)
-        assert any(BEZOUT_MINOR_LIMIT < n <= BEZOUT_LDL_LIMIT for n in sizes)
+        assert min(sizes) <= BEZOUT_MINOR_LIMIT < max(sizes)
 
 
 @pytest.mark.parametrize("d", SYLVESTER_DEGREES)
 def test_bezout_resultant_matches_sylvester(d):
     # the sign (-1)^(n(n-1)/2) included: res:d at n = d, by minors up to
-    # BEZOUT_MINOR_LIMIT, by LDL^T up to BEZOUT_LDL_LIMIT and by LU beyond
+    # BEZOUT_MINOR_LIMIT and by `_schur_det` beyond
     batch = gaussian_batch(MatrixShape(2, d + 1), 200, np.random.default_rng(40 + d))
     fs, gs = batch[:, 0, :], batch[:, 1, :]
     assert_close_to_sylvester(_bezout_resultant(fs, gs), fs, gs)
@@ -299,9 +297,40 @@ def test_bezout_hyperdiscriminant_matches_sylvester(d):
         assert_close_to_sylvester(rnc_hyperdiscriminant(d).evaluate_batch(a), fs, gs)
 
 
+@pytest.mark.parametrize("n", [7, 11, 22, 23, 40, 100])
+def test_schur_kernel_matches_lu_slogdet(n):
+    # on 1,024 res:n samples, `_schur_det` certifies at least 99%, and each
+    # certified value's log |det| and phase are within 1e-10 of LU's slogdet
+    batch = gaussian_batch(MatrixShape(2, n + 1), 1024, np.random.default_rng(n))
+    f, g = batch[:, 0, :].T.copy(), batch[:, 1, :].T.copy()
+    got = varieties._schur_det(f, g)
+    b = np.empty((n, n, len(batch)), dtype=complex)
+    varieties._bezout(f, g, b, varieties._lu_det)  # fills b
+    sign, log_abs = np.linalg.slogdet(b.transpose(2, 0, 1))
+    ok = np.isfinite(got)
+    assert ok.mean() >= 0.99
+    assert np.max(np.abs(np.log(np.abs(got[ok])) - log_abs[ok])) < 1e-10
+    phase = np.angle(got[ok] / (sign[ok] * (-1) ** (n * (n - 1) // 2)))
+    assert np.max(np.abs(phase)) < 1e-10
+
+
+def certifies_nothing(f, g):
+    """A `_schur_det` seam that leaves every sample to the LU fallback."""
+    return np.full(f.shape[1], np.nan, dtype=complex)
+
+
+def by_lu(fs, gs, weights=(1, 1)):
+    """Reference: the same resultants with every Bezout size past the minors
+    factored by LU alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(varieties, "_schur_det", certifies_nothing)
+        return _bezout_resultant(fs, gs, weights)
+
+
 def test_bezout_stack_is_built_in_slices(monkeypatch):
-    # past BEZOUT_LDL_LIMIT, a disc:30 batch never goes to LU more than the
-    # byte budget at once, and slicing changes no determinant by a single bit
+    # with `_schur_det` certifying nothing, a disc:30 batch never goes to
+    # the LU fallback more than the byte budget at once, and slicing changes
+    # no determinant by a single bit
     det = np.linalg.det
     calls = []
 
@@ -312,6 +341,7 @@ def test_bezout_stack_is_built_in_slices(monkeypatch):
 
     disc = rnc_hyperdiscriminant(30)
     batch = gaussian_batch(disc.shape, 2000, np.random.default_rng(4))
+    monkeypatch.setattr(varieties, "_schur_det", certifies_nothing)
     monkeypatch.setattr(np.linalg, "det", recording_det)
     vals = disc.evaluate_batch(batch)
     assert len(calls) > 1 and sum(calls) == len(batch)
@@ -325,7 +355,7 @@ def test_bezout_stack_is_built_in_slices(monkeypatch):
 
 
 def test_ldl_values_do_not_depend_on_slicing_or_threads(monkeypatch):
-    # disc:12 factors at n = 11 by LDL^T: one 65,536-sample batch gives the
+    # disc:12 factors at n = 11 by `_schur_det`: one 65,536-sample batch gives the
     # same bytes whole and in 1,000-sample pieces, LU fallbacks included, and
     # its heights the same numbers on one thread and two
     lu = varieties._lu_det
@@ -347,31 +377,23 @@ def test_ldl_values_do_not_depend_on_slicing_or_threads(monkeypatch):
     assert (one.h, one.stderr, one.ess) == (two.h, two.stderr, two.ess)
 
 
-def by_lu(fs, gs, weights=(1, 1)):
-    """Reference: the same resultants with every Bezout size past the minors
-    factored by LU, as before the LDL^T range existed."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(varieties, "BEZOUT_LDL_LIMIT", BEZOUT_MINOR_LIMIT)
-        return _bezout_resultant(fs, gs, weights)
-
-
 # res:9 rows with a common root at 2s = 3t, of integer coefficients
 COMMON_ROOT = [binary_form_mul([2, -3], [1, -2, 0, 3, 1, -1, 2, 0, 1]),
                binary_form_mul([2, -3], [2, 1, -1, 0, 3, -2, 1, 1, -3])]
 
 
 @pytest.mark.parametrize("f, g, common_root", [
-    # the first pivot f_0 g_1 - g_0 f_1 exactly 0, and 2^-12, under 2^-10 of its column,
-    # while the resultant is not 0
-    ({0: 1, 1: 2}, {0: 2, 1: 4}, False),
-    ({0: 1, 1: 2}, {0: 2, 1: 4 + 2.0**-12}, False),
+    # the first pivot R[0, 0] = f_0 g_n - g_0 f_n exactly 0, and 2^-12, under
+    # 2^-10 of its column, while the resultant is not 0
+    ({0: 1, -1: 2}, {0: 2, -1: 4}, False),
+    ({0: 1, -1: 2}, {0: 2, -1: 4 + 2.0**-12}, False),
     # a common root: at 2s = 3t, at t = 0 (f_0 = g_0 = 0), at s = 0 (f_n = g_n = 0)
     (dict(enumerate(COMMON_ROOT[0])), dict(enumerate(COMMON_ROOT[1])), True),
     ({0: 0}, {0: 0}, True),
     ({-1: 0}, {-1: 0}, True),
 ], ids=["zero-pivot", "tiny-pivot", "common-root", "common-root-t", "common-root-s"])
 def test_uncertified_ldl_samples_take_lus_value(f, g, common_root):
-    # res:9 factors at n = 9 by LDL^T; the first sample, with the coefficients
+    # res:9 factors at n = 9 by `_schur_det`; the first sample, with the coefficients
     # f and g planted, fails its certificate and takes LU's value bit for bit
     batch = gaussian_batch(MatrixShape(2, 10), 300, np.random.default_rng(31))
     fs, gs = batch[:, 0, :].copy(), batch[:, 1, :].copy()
@@ -401,8 +423,8 @@ def test_overflowing_ldl_batches_keep_lus_values_and_errors(monkeypatch):
     monkeypatch.setattr(igusa, "gaussian_chunks",
                         lambda *args: (1e17 * chunk for chunk in draw(*args)))
     errors = []
-    for limit in (BEZOUT_LDL_LIMIT, BEZOUT_MINOR_LIMIT):
-        monkeypatch.setattr(varieties, "BEZOUT_LDL_LIMIT", limit)
+    for kernel in (varieties._schur_det, certifies_nothing):
+        monkeypatch.setattr(varieties, "_schur_det", kernel)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises((ArithmeticError, EvaluationError)) as err:
